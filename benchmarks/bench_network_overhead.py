@@ -7,11 +7,14 @@ machines.  On a single host that trade is pure overhead -- this bench
 measures exactly how much, on jobs-sharded DPOR exploration of
 4-process x-safe-agreement (x=2, p0 crashing mid-propose):
 
-* **fork**   -- the baseline ``explore_parallel`` fork pool (jobs=2);
+* **fork**   -- ``explore_parallel`` at jobs=2: two forked
+  :class:`ShardWorker` processes on socketpairs;
 * **socket** -- the same exploration served by a :class:`ShardServer`
   to two in-process :class:`ShardWorker` threads over real sockets
   on loopback (every grant, heartbeat, and completion is a framed
-  round-trip).
+  round-trip).  The threads share the coordinator's interpreter lock,
+  which accounts for most of the gap; with worker processes the
+  committed benchmark (``perfbench/``) measures about 1.06x.
 
 Both must return bit-for-bit identical statistics -- the transport may
 cost time, never coverage (the ``network`` differential tier enforces

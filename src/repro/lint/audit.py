@@ -62,13 +62,6 @@ class FootprintViolation(RuntimeError):
             f"  declared: {declared!r}\n"
             f"  observed: {evidence}")
 
-    def __reduce__(self):
-        # Default exception pickling replays ``args`` (the formatted
-        # message) into our 6-argument ``__init__``; rebuild from the
-        # real fields instead so violations survive worker pipes.
-        return (FootprintViolation,
-                (self.obj_name, self.pid, self.invocation,
-                 self.declared, self.kind, self.evidence))
 
 
 class _Poison:
@@ -340,9 +333,9 @@ def audit_scenario(scenario, adversaries: Optional[Sequence] = None,
     and ``RuntimeError`` if a run exhausts ``max_steps``; returns an
     :class:`AuditReport` when every executed operation stayed inside its
     declared footprint.  With ``jobs``, the per-adversary runs execute
-    on a worker pool (:func:`repro.runtime.parallel.run_pool`); failures
-    are re-raised in adversary order, so the outcome does not depend on
-    worker timing.
+    on the shard pool (:func:`repro.runtime.netshard.run_pool`); a run
+    that failed there is repeated in-process, so failures are raised
+    typed and in adversary order, independent of worker timing.
     """
     from ..runtime import RoundRobinAdversary, SeededRandomAdversary
     if adversaries is None:
@@ -350,17 +343,16 @@ def audit_scenario(scenario, adversaries: Optional[Sequence] = None,
             SeededRandomAdversary(seed) for seed in DEFAULT_AUDIT_SEEDS]
     report = AuditReport(scenario=scenario.name)
 
+    results: List[Optional[list]] = [None] * len(adversaries)
     if jobs is not None and jobs > 1:
-        from ..runtime.parallel import run_pool
+        from ..runtime.netshard import run_pool
 
         def run_one(index):
             try:
-                return _audit_one(scenario, adversaries[index],
-                                  max_steps, perturb), None
-            except (FootprintViolation, RuntimeError) as exc:
-                # Ship the typed failure as a value: run_pool's generic
-                # error channel is strings, and the caller re-raises.
-                return None, exc
+                return list(_audit_one(scenario, adversaries[index],
+                                       max_steps, perturb))
+            except (FootprintViolation, RuntimeError):
+                return None  # re-run below, in-process, to raise it
 
         outcomes = run_pool(list(range(len(adversaries))), run_one,
                             jobs=jobs)
@@ -368,18 +360,12 @@ def audit_scenario(scenario, adversaries: Optional[Sequence] = None,
             if error is not None:
                 raise RuntimeError(
                     f"audit worker failed on adversary {index}: {error}")
-            ok, failure = value
-            if failure is not None:
-                raise failure
-            audited_ops, skipped_ops, name = ok
-            report.runs += 1
-            report.audited_ops += audited_ops
-            report.skipped_ops += skipped_ops
-            report.adversaries.append(name)
-        return report
+            results[index] = value
 
-    for adversary in adversaries:
-        audited_ops, skipped_ops, name = _audit_one(
+    for adversary, result in zip(adversaries, results):
+        # A run the pool did not complete (none ran, or it failed)
+        # runs here, so failures raise typed and in adversary order.
+        audited_ops, skipped_ops, name = result or _audit_one(
             scenario, adversary, max_steps, perturb)
         report.runs += 1
         report.audited_ops += audited_ops

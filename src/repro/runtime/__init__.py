@@ -20,10 +20,10 @@ from .faults import (ArbitraryPropose, CorruptWrite, FaultBehavior,
                      byzantine_writer)
 from .frontier import FrontierMismatch, FrontierStore
 from .lease import Lease, LeaseTable
-from .netshard import (ChaosProxy, ServerGone, ShardServer, ShardWorker,
-                       WorkerUnavailable, backoff_delay)
-from .parallel import (execute_shard, explore_parallel, fork_available,
-                       resolve_jobs, run_pool)
+from .netshard import (ServerGone, ShardServer, ShardWorker,
+                       WorkerUnavailable, backoff_delay, fork_available,
+                       run_pool)
+from .parallel import execute_shard, explore_parallel, resolve_jobs
 from .ops import (EMPTY_FOOTPRINT, SPIN_FAILED, WHOLE, Footprint,
                   Invocation, LocalOp, ObjectProxy, SpinOp, conflicts,
                   indexed_proxy, spin, wait_until)
@@ -48,10 +48,9 @@ __all__ = [
     "FaultTrigger", "StaleReadReplay", "byzantine_writer",
     "FrontierMismatch", "FrontierStore",
     "Lease", "LeaseTable",
-    "ChaosProxy", "ServerGone", "ShardServer", "ShardWorker",
-    "WorkerUnavailable", "backoff_delay",
-    "execute_shard", "explore_parallel", "fork_available", "resolve_jobs",
-    "run_pool",
+    "ServerGone", "ShardServer", "ShardWorker", "WorkerUnavailable",
+    "backoff_delay", "fork_available", "run_pool",
+    "execute_shard", "explore_parallel", "resolve_jobs",
     "EMPTY_FOOTPRINT", "SPIN_FAILED", "WHOLE", "Footprint",
     "Invocation", "LocalOp", "ObjectProxy", "SpinOp", "conflicts",
     "indexed_proxy", "spin", "wait_until",

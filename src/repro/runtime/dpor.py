@@ -745,8 +745,8 @@ def _explore_core(build: Builder,
     included) and the walk returns instead of raising, so a coordinator
     can pick the winning violation deterministically across shards.
 
-    ``counters`` is an optional plain-dict metrics channel (picklable,
-    so shard workers can ship it back over their result pipe): sleep-set
+    ``counters`` is an optional plain-dict metrics channel (plain
+    data, so shard workers can ship it back in a frame): sleep-set
     hit accounting, cache hit/skip counts, ddmin replay counts, and
     shrink wall-clock go there, never into ``ExplorationStats`` --
     collecting metrics cannot perturb the deterministic statistics

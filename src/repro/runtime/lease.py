@@ -1,21 +1,20 @@
 """Shard leases: time-bounded grants with heartbeat renewal.
 
-The worker pool (:mod:`repro.runtime.parallel`) hands each frontier
-shard to exactly one worker at a time.  A worker that dies is observed
-immediately (EOF on its private result pipe), but a worker that merely
+The shard pool (:mod:`repro.runtime.netshard`) hands each frontier
+shard to exactly one worker at a time.  A local worker that dies is
+observed immediately (EOF on its socketpair), but a worker that merely
 *wedges* -- SIGSTOPped, swapped out forever, stuck in a kernel call --
-produces no EOF and would hold its shard hostage for the rest of the
-run.  Leases close that gap: every grant carries an expiry instant,
-workers renew it with periodic heartbeats while they execute, and the
-coordinator re-grants any shard whose lease lapses.  Re-granting is
-sound for the same reason SIGKILL recovery always was: shards are
-deterministic, so executing one twice yields the same outcome and the
-coordinator keeps only the first result per shard.
+or a remote one cut off by the network produces no EOF and would hold
+its shard hostage for the rest of the run.  Leases close that gap:
+every grant carries an expiry instant, workers renew it with periodic
+heartbeats while they execute, and the coordinator re-grants any shard
+whose lease lapses.  Re-granting is sound for the same reason SIGKILL
+recovery always was: shards are deterministic, so executing one twice
+yields the same outcome and the coordinator keeps only the first
+result per shard.
 
-This is deliberately the shape a *distributed* work queue needs
-(grant + heartbeat + expiry + re-grant), kept free of any process or
-pipe machinery so a future multi-machine coordinator can reuse it
-unchanged; only the transport that carries heartbeats is pool-specific.
+The table itself knows nothing of processes or sockets; only the
+transport that carries heartbeats is pool-specific.
 
 Clocks are ``time.monotonic`` throughout (never wall time, which can
 step backwards under NTP).  All methods take an optional explicit

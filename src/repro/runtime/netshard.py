@@ -1,60 +1,53 @@
-"""Multi-machine shard service: the lease protocol over TCP sockets.
+"""The shard pool: the lease protocol over framed sockets.
 
-PR 9 split exploration into a transport-free coordinator/worker pair:
-:class:`~repro.runtime.lease.LeaseTable` tracks who owns which frontier
-shard, heartbeats renew the grants, and lapsed leases are re-granted.
-This module is the promised network transport for that protocol -- a
-coordinator-side :class:`ShardServer` and a remote-machine
-:class:`ShardWorker` speaking grant/heartbeat/complete/steal over the
-length-prefixed, checksummed frames of :mod:`repro.runtime.wire` --
-with **robustness as the headline**, in the spirit of the source
-paper's BG discipline (a slow or crashed simulator must never block
-the simulation) and of the Imbs-Raynal-Stainer reduction (treat the
-transport as an adversary, not a trusted friend):
+Every sharded exploration runs its frontier shards here.  A
+:class:`ShardServer` hands shards out under
+:class:`~repro.runtime.lease.LeaseTable` leases, and
+:class:`ShardWorker` sessions loop request -> execute -> complete over
+the checksummed frames of :mod:`repro.runtime.wire`.  ``--jobs``
+workers are forked children, each on one end of a ``socketpair`` the
+server watches beside its TCP connections; remote workers dial in over
+TCP (``python -m repro worker``).  Both speak the same frames, so lease
+expiry, re-grant, first-settle-wins dedup, the in-process retry ladder
+and child teardown exist once.  The transport is treated as an
+adversary, in the spirit of the source paper's BG discipline (a slow
+or crashed simulator must never block the simulation):
 
 * every frame read/write carries a deadline (:mod:`wire <.wire>`);
-* workers connect and retry RPCs under capped exponential backoff with
-  *deterministic* jitter (:func:`backoff_delay` -- reproducible, yet
-  de-synchronized across workers);
-* a worker that loses its connection reconnects, **re-identifies**
-  itself by name (the server keeps its worker id, so live leases
-  survive the blip), and *abandons* a shard whose lease was re-granted
-  meanwhile -- the stale-holder rejection of ``LeaseTable`` reused
-  verbatim;
-* the coordinator degrades gracefully: a shard whose lease lapses is
-  re-granted up to the pool's ``_REGRANT_MAX`` ladder, and when all
-  remote workers vanish the coordinator executes orphaned shards
-  in-process, so remote-machine loss costs throughput, never coverage;
+* remote workers retry under capped exponential backoff with
+  *deterministic* jitter (:func:`backoff_delay`), reconnect, and
+  **re-identify** by name, so their live leases survive a blip;
+* a lapsed lease (or a dead local worker) re-grants its shard up to
+  ``_REGRANT_MAX`` times, then the coordinator runs it in-process under
+  the retry ladder, and with no live worker left it runs the rest
+  itself: worker loss costs throughput, never coverage;
 * completions are accepted only from the shard's *current* lease
-  holder -- a replayed or stale completion frame (a re-ordering
-  network can deliver one from a previous incarnation of the run) is
-  rejected, a discipline pinned by the ``netshard-accept-stale-result``
-  planted mutant;
-* :class:`ChaosProxy` injects transport faults (drop, delay,
-  duplicate, truncate, reorder, mid-stream disconnect) between real
-  sockets, so the ``network`` differential tier tests the transport
-  the same way ``MessageFaultPlan`` tests the algorithms.
+  holder, so a stale or replayed frame is rejected (pinned by the
+  ``netshard-accept-stale-result`` planted mutant);
+* the server answers ``done`` to every connection before it closes,
+  so workers leave at once instead of walking their reconnect backoff.
 
-The server plugs into :func:`repro.runtime.parallel.explore_parallel`
-as a drop-in ``pool``: frontier expansion, durable checkpointing
-(``serve --checkpoint``), deterministic merging and ddmin shrinking
-are all the *same code* the fork pool uses, so serial, fork-pool and
-socket-backed explorations are bit-for-bit identical by construction
--- and the tier asserts it anyway.  CLI surface: ``python -m repro
-serve`` / ``python -m repro worker`` (see
-``docs/distributed_exploration.md``).
+:func:`run_pool` is :func:`repro.runtime.parallel.explore_parallel`'s
+default pool; a :class:`ShardServer` instance is the ``pool`` of
+``python -m repro serve``.  Either way expansion, checkpointing,
+merging and shrinking are the same code, so serial, ``--jobs`` and
+socket runs are bit-for-bit identical by construction -- and the
+``network`` tier asserts it (see ``docs/distributed_exploration.md``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import multiprocessing as mp
 import os
+import select
 import selectors
+import signal
 import socket
 import threading
 from collections import deque
-from time import monotonic
+from time import monotonic, perf_counter
 from time import sleep as _real_sleep
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -63,12 +56,10 @@ from .explore import ExplorationInterrupted, ExplorationStats
 from .frontier import stats_from_dict, stats_to_dict
 from .lease import (DEFAULT_HEARTBEAT_INTERVAL, DEFAULT_LEASE_TIMEOUT,
                     LeaseTable)
-from .parallel import _REGRANT_MAX, execute_shard
 
-#: Seconds the coordinator waits for a first worker before it starts
-#: executing shards in-process itself (solo mode).  Once any worker has
-#: connected, solo mode instead kicks in the moment *no* worker is
-#: connected -- all remotes vanished.  Module-level so tests tune it.
+#: Seconds the coordinator waits for a first worker before it runs
+#: shards in-process itself (solo mode).  Once any worker has joined,
+#: solo mode starts the moment *no* worker is live.
 DEFAULT_SOLO_AFTER = 5.0
 
 #: Seconds between selector wake-ups (lease sweep + solo-mode check).
@@ -83,8 +74,31 @@ CONNECT_BACKOFF_CAP = 2.0
 #: the server is gone.  Module-level so tests can shrink it.
 RPC_ATTEMPTS = 6
 
-#: Seconds a worker sleeps after an ``idle`` reply before re-requesting.
+#: Seconds a worker idles after an ``idle`` reply before re-requesting
+#: (a ``done`` pushed by the server ends the wait early).
 _IDLE_WAIT = 0.2
+
+#: Lease timeout / heartbeat interval of local (forked) workers.
+#: Module-level so tests can shrink both.
+_LEASE_TIMEOUT = DEFAULT_LEASE_TIMEOUT
+_HEARTBEAT_INTERVAL = DEFAULT_HEARTBEAT_INTERVAL
+
+#: Times a shard may be re-granted before only the coordinator may run
+#: it: a *deterministically* worker-killing shard costs a bounded
+#: number of workers, the in-process fallback none.
+_REGRANT_MAX = 2
+
+#: In-process attempts granted to a shard before its error surfaces.
+_RETRY_MAX_ATTEMPTS = 3
+
+#: Base/cap of the exponential backoff slept between retry attempts
+#: (0.05s, 0.1s, ... capped).  Module-level so tests can shrink them.
+_RETRY_BACKOFF_BASE = 0.05
+_RETRY_BACKOFF_CAP = 1.0
+
+#: Seconds granted at each stage of local worker teardown (exit after
+#: ``done``, SIGTERM, SIGKILL).  Module-level so tests can shrink it.
+_JOIN_TIMEOUT = 2.0
 
 _WORKER_SEQ = itertools.count()
 
@@ -120,6 +134,100 @@ def backoff_delay(key: str, attempt: int,
     return raw * (0.5 + 0.5 * unit)
 
 
+def fork_available() -> bool:
+    """Can this platform start workers by ``fork``?
+
+    Local workers execute closures inherited at fork time, so
+    ``spawn``-only platforms degrade to in-process execution.
+    """
+    return "fork" in mp.get_all_start_methods()
+
+
+def _run_task(runner: Callable[[Any], Any], payload: Any,
+              fault: Optional[str], in_worker: bool, attempt: int = 0):
+    """``runner(payload)``, honouring an injected test fault.
+
+    Kinds (comma-separated): ``sigkill`` / ``sigstop`` kill / wedge a
+    *local worker* before it runs the task (ignored in-process);
+    ``raise`` fails the task everywhere; ``flaky`` fails in workers and
+    on the first in-process retry (``attempt`` 1), succeeding from the
+    second -- it tells the retry ladder from a single re-execution.
+    """
+    kinds = set(fault.split(",")) if fault else set()
+    if in_worker and "sigkill" in kinds:
+        os.kill(os.getpid(), signal.SIGKILL)
+    if in_worker and "sigstop" in kinds:
+        os.kill(os.getpid(), signal.SIGSTOP)
+    if "raise" in kinds:
+        raise RuntimeError("injected shard fault")
+    if "flaky" in kinds and (in_worker or attempt < 2):
+        raise RuntimeError("injected flaky shard fault")
+    return runner(payload)
+
+
+def _value_fields(value: Any) -> Dict[str, Any]:
+    """The ``complete``-frame fields that carry one task's value.
+
+    A shard result ``(stats, counters[, interruption reason])`` travels
+    as ``stats`` / ``counters`` / ``reason``; any other value travels as
+    ``value`` and must be JSON-encodable.
+    """
+    if isinstance(value, tuple) and value and \
+            isinstance(value[0], ExplorationStats):
+        fields = {"stats": stats_to_dict(value[0]),
+                  "counters": dict(value[1])}
+        if len(value) == 3:
+            fields["reason"] = value[2]
+        return fields
+    return {"value": value}
+
+
+def _decode_value(body: Dict[str, Any]) -> Any:
+    """Inverse of :func:`_value_fields` on a received ``complete``."""
+    if "stats" not in body:
+        return body.get("value")
+    value = (stats_from_dict(body["stats"]),
+             dict(body.get("counters") or {}))
+    reason = body.get("reason")
+    return value if reason is None else value + (reason,)
+
+
+def run_pool(payloads: Sequence[Any],
+             runner: Callable[[Any], Any],
+             jobs: int,
+             fault_plan: Optional[Dict[int, str]] = None,
+             task_log: Optional[List[Dict[str, Any]]] = None,
+             deadline: Optional[float] = None,
+             on_grant: Optional[Callable[[int, int], None]] = None,
+             on_settle: Optional[Callable[[int, Any], None]] = None
+             ) -> List[Tuple[Any, Optional[str]]]:
+    """Run ``runner(payload)`` for every payload on up to ``jobs`` forks.
+
+    Returns one ``(value, error_message_or_None)`` outcome per payload,
+    in payload order.  The workers are forked :class:`ShardWorker`
+    children of a listener-less :class:`ShardServer`, so values cross a
+    socket: they must be JSON-encodable (or shard results, see
+    :func:`_value_fields`).  With ``jobs <= 1``, one payload or no
+    ``fork``, every payload runs in-process at once, one attempt each.
+    ``fault_plan`` maps payload index to an injected fault (tests only,
+    see :func:`_run_task`; ``-1: "sigstop"`` wedges every worker as it
+    leaves).  ``on_grant(idx, wid)`` / ``on_settle(idx, outcome)``
+    observe every grant (``wid`` ``-1`` = the coordinator) and each
+    settled outcome once -- the frontier store journals through them.
+    ``task_log`` gets one ``{"index", "worker", "seconds"}`` entry per
+    execution (metrics only); ``deadline`` bounds the retry ladder.
+    """
+    server = ShardServer(lease_timeout=_LEASE_TIMEOUT)
+    server.begin(payloads, runner, on_grant=on_grant, on_settle=on_settle,
+                 task_log=task_log, deadline=deadline)
+    server._fault_plan = dict(fault_plan or {})
+    if jobs <= 1 or len(payloads) <= 1 or not fork_available():
+        for idx in range(len(payloads)):
+            server._run_inprocess(idx, range(1))
+        return server.outcomes
+    return server._serve_local(jobs)
+
+
 # ---------------------------------------------------------------------------
 # Server
 # ---------------------------------------------------------------------------
@@ -127,21 +235,25 @@ def backoff_delay(key: str, attempt: int,
 class _Session:
     """Server-side identity of one logical worker (survives reconnects).
 
-    Keyed by the worker's self-chosen name: a worker that loses its TCP
-    connection and dials back in re-identifies with the same name and
-    gets the same ``worker_id`` -- which is what lets its live leases
-    survive the blip (``LeaseTable`` knows holders by id, not socket).
+    Keyed by the worker's name: a worker that dials back in gets the
+    same ``worker_id``, so its live leases survive the blip.  A
+    ``local`` session is a forked child on a socketpair: it cannot
+    redial, so losing its connection means it died.
     """
 
-    __slots__ = ("name", "worker_id", "conn", "inflight", "frames_in",
-                 "frames_out", "reconnects", "shards")
+    __slots__ = ("name", "worker_id", "local", "conn", "inflight",
+                 "last_heard", "frames_in", "frames_out", "reconnects",
+                 "shards")
 
-    def __init__(self, name: str, worker_id: int) -> None:
+    def __init__(self, name: str, worker_id: int,
+                 local: bool = False) -> None:
         self.name = name
         self.worker_id = worker_id
+        self.local = local
         self.conn: Optional[socket.socket] = None
         #: Last granted, not-yet-settled shard (request idempotence).
         self.inflight: Optional[int] = None
+        self.last_heard = monotonic()
         self.frames_in = 0
         self.frames_out = 0
         self.reconnects = 0
@@ -149,7 +261,7 @@ class _Session:
 
 
 class _ConnState:
-    """Per-TCP-connection receive buffer and its bound session."""
+    """Per-connection receive buffer and its bound session."""
 
     __slots__ = ("conn", "buffer", "session", "last_progress")
 
@@ -161,22 +273,16 @@ class _ConnState:
 
 
 class ShardServer:
-    """Coordinator-side TCP shard service; a drop-in ``pool``.
+    """Coordinator side of the shard pool; a drop-in ``pool``.
 
-    Construct it with transport/lease knobs, then pass the instance as
-    ``explore_parallel(..., pool=server)``: calling the server with the
-    standard pool signature binds a listening socket, serves frontier
-    shards to any :class:`ShardWorker` that connects, and returns one
-    outcome per payload exactly as :func:`~repro.runtime.parallel.
-    run_pool` would.  Leases, re-grants, first-settle-wins dedup and
-    the in-process fallback mirror the fork pool's semantics, so the
-    merged statistics are transport-independent.
-
+    Passed as ``explore_parallel(..., pool=server)``, the server binds a
+    listening socket, serves shards to any :class:`ShardWorker` that
+    connects, and returns outcomes exactly as :func:`run_pool` does --
+    which is this server with forked workers instead of a listener.
     The protocol core (:meth:`begin` / :meth:`handle_message` /
-    :meth:`tick` / :meth:`run_one_inprocess`) is transport-free and
-    driven directly by the unit tests and the
-    ``netshard-accept-stale-result`` mutant; only :meth:`__call__`
-    touches sockets.
+    :meth:`tick` / :meth:`run_one_inprocess`) is transport-free, so
+    unit tests and the ``netshard-accept-stale-result`` mutant drive it
+    directly.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
@@ -207,9 +313,6 @@ class ShardServer:
         }
         self._sessions_by_name: Dict[str, _Session] = {}
         self._sessions_by_id: Dict[int, _Session] = {}
-        self._next_worker_id = 0
-        self._ever_connected = False
-        self._begun = False
 
     # -- protocol core (transport-free) ---------------------------------
 
@@ -226,17 +329,17 @@ class ShardServer:
         self._on_settle = on_settle
         self._task_log = task_log
         self._deadline = deadline
+        self._fault_plan: Dict[int, str] = {}
         n = len(self._payloads)
         self._outcomes: List[Optional[Tuple[Any, Optional[str]]]] = \
             [None] * n
         self._completed: set = set()
         self._pending: deque = deque(range(n))
-        #: Shards whose re-grant budget is exhausted: only the
-        #: coordinator may still execute them (the pool's ladder).
+        #: Shards whose re-grant budget is exhausted or whose worker
+        #: reported an error: only the coordinator may still run them.
         self._inproc_only: deque = deque()
         self._leases = LeaseTable(timeout=self.lease_timeout)
         self._regrants: Dict[int, int] = {}
-        self._begun = True
 
     @property
     def done(self) -> bool:
@@ -279,21 +382,23 @@ class ShardServer:
             return self._handle_complete(session, body)
         return {"type": "error", "reason": f"unknown frame type {kind!r}"}
 
+    def _new_session(self, name: str, local: bool = False) -> _Session:
+        session = _Session(name, len(self._sessions_by_id), local)
+        self._sessions_by_name[name] = session
+        self._sessions_by_id[session.worker_id] = session
+        self.tallies["connections"] += 1
+        return session
+
     def _handle_hello(self, body: Dict[str, Any]) -> Dict[str, Any]:
         name = body.get("worker")
         if not isinstance(name, str) or not name:
             return {"type": "error", "reason": "hello without a worker name"}
         session = self._sessions_by_name.get(name)
         if session is None:
-            session = _Session(name, self._next_worker_id)
-            self._next_worker_id += 1
-            self._sessions_by_name[name] = session
-            self._sessions_by_id[session.worker_id] = session
-            self.tallies["connections"] += 1
+            session = self._new_session(name)
         else:
             session.reconnects += 1
             self.tallies["reconnects"] += 1
-        self._ever_connected = True
         return {"type": "welcome", "worker_id": session.worker_id,
                 "config": self.config}
 
@@ -308,7 +413,7 @@ class ShardServer:
                 session.inflight = None
             elif self._leases.holder(idx) == session.worker_id:
                 self._leases.renew(idx, session.worker_id, now=now)
-                return self._grant_reply(idx)
+                return self._grant_reply(session, idx)
             else:
                 session.inflight = None  # lease lapsed and moved on
         while self._pending:
@@ -319,12 +424,15 @@ class ShardServer:
             session.inflight = idx
             if self._on_grant is not None:
                 self._on_grant(idx, session.worker_id)
-            return self._grant_reply(idx)
+            return self._grant_reply(session, idx)
         if self.done:
             return {"type": "done"}
         return {"type": "idle"}
 
-    def _grant_reply(self, idx: int) -> Dict[str, Any]:
+    def _grant_reply(self, session: _Session, idx: int) -> Dict[str, Any]:
+        if session.local:
+            # A forked worker reads payloads[idx] from inherited memory.
+            return {"type": "grant", "shard": idx}
         prefix, sleep = self._payloads[idx]
         return {"type": "grant", "shard": idx,
                 "prefix": list(prefix), "sleep": sorted(sleep)}
@@ -339,10 +447,12 @@ class ShardServer:
             session.inflight = None
         if body.get("error") is not None:
             # A worker-reported execution failure: release the lease
-            # and route the shard to the coordinator's in-process
-            # fallback (a real scenario error will reproduce there and
-            # surface; a worker-environment fluke will not).
+            # and route the shard to the coordinator's retry ladder (a
+            # real scenario error will reproduce there and surface; a
+            # worker-environment fluke will not).
             if self._leases.holder(shard) == session.worker_id:
+                self._log_task(shard, session.worker_id,
+                               body.get("seconds"))
                 self._leases.release(shard)
                 if shard not in self._completed:
                     self._inproc_only.append(shard)
@@ -351,14 +461,14 @@ class ShardServer:
             self.tallies["stale_rejections"] += 1
             return {"type": "ok", "accepted": False}
         try:
-            stats = stats_from_dict(body["stats"])
-            counters = dict(body.get("counters") or {})
+            value = _decode_value(body)
         except (KeyError, TypeError, ValueError) as exc:
             return {"type": "error",
                     "reason": f"undecodable completion stats: {exc}"}
+        self._log_task(shard, session.worker_id, body.get("seconds"))
         session.shards += 1
         self.tallies["remote_shards"] += 1
-        self._settle(shard, ((stats, counters), None))
+        self._settle(shard, (value, None))
         return {"type": "ok", "accepted": True}
 
     def _accept_completion(self, shard: int, worker_id: int) -> bool:
@@ -372,6 +482,11 @@ class ShardServer:
             return False
         return self._leases.holder(shard) == worker_id
 
+    def _log_task(self, idx: int, worker_id: int, seconds: Any) -> None:
+        if self._task_log is not None:
+            self._task_log.append({"index": idx, "worker": worker_id,
+                                   "seconds": float(seconds or 0.0)})
+
     def _settle(self, idx: int, outcome: Tuple[Any, Optional[str]]
                 ) -> None:
         self._outcomes[idx] = outcome
@@ -384,59 +499,89 @@ class ShardServer:
             self._on_settle(idx, outcome)
 
     def tick(self, now: Optional[float] = None) -> None:
-        """Sweep lapsed leases: re-grant or route to the fallback.
-
-        Mirrors the fork pool's ladder: a shard may lose its holder
-        ``regrant_max`` times before only the coordinator may run it.
-        """
+        """Sweep lapsed leases: re-grant or route to the fallback."""
         if now is None:
             now = monotonic()
         for lease in self._leases.expired(now):
-            self._leases.release(lease.shard)
-            if lease.shard in self._completed:
-                continue
-            session = self._sessions_by_id.get(lease.worker)
-            if session is not None and session.inflight == lease.shard:
-                session.inflight = None
-            self._regrants[lease.shard] = \
-                self._regrants.get(lease.shard, 0) + 1
-            self.tallies["regrants"] += 1
-            if self._regrants[lease.shard] > self.regrant_max:
-                self._inproc_only.append(lease.shard)
-            else:
-                self._pending.appendleft(lease.shard)
+            self._lapse(lease.shard, lease.worker)
+
+    def _lapse(self, shard: int, worker_id: int) -> None:
+        # The holder stopped heartbeating for a whole lease window (or,
+        # for a local worker, died).  A shard may lose its holder
+        # regrant_max times before only the coordinator may run it.
+        self._leases.release(shard)
+        if shard in self._completed:
+            return
+        session = self._sessions_by_id.get(worker_id)
+        if session is not None and session.inflight == shard:
+            session.inflight = None
+        self._regrants[shard] = self._regrants.get(shard, 0) + 1
+        self.tallies["regrants"] += 1
+        if self._regrants[shard] > self.regrant_max:
+            self._inproc_only.append(shard)
+        else:
+            self._pending.appendleft(shard)
 
     def run_one_inprocess(self) -> bool:
         """Execute one eligible shard in the coordinator process.
 
-        Regrant-exhausted shards first, then (in solo mode) ordinary
-        pending ones.  Returns False when nothing was eligible.
+        Regrant-exhausted and worker-failed shards first, then (in solo
+        mode) ordinary pending ones, each under the retry ladder.
+        Returns False when nothing was eligible.
         """
         queue = self._inproc_only or self._pending
         while queue:
             idx = queue.popleft()
             if idx in self._completed:
                 continue
-            if self._on_grant is not None:
-                self._on_grant(idx, -1)
-            from time import perf_counter
-            start = perf_counter()
-            try:
-                outcome: Tuple[Any, Optional[str]] = \
-                    (self._runner(self._payloads[idx]), None)
-            except Exception as exc:  # noqa: BLE001 - surfaces in merge
-                outcome = (None, f"{type(exc).__name__}: {exc}")
-            if self._task_log is not None:
-                self._task_log.append({"index": idx, "worker": -1,
-                                       "seconds": perf_counter() - start})
-            self.tallies["inprocess_shards"] += 1
-            self._settle(idx, outcome)
+            self._run_inprocess(idx, range(1, _RETRY_MAX_ATTEMPTS + 1))
             return True
         return False
 
+    def _run_inprocess(self, idx: int, attempts: range) -> None:
+        """Run shard ``idx`` here, one try per attempt number, and settle.
+
+        Tries are separated by capped exponential backoff clamped to the
+        ``deadline``; a ladder that reaches the deadline raises
+        :class:`~repro.runtime.explore.ExplorationInterrupted`.
+        """
+        if self._on_grant is not None:
+            self._on_grant(idx, -1)
+        value, error = None, None
+        for attempt in attempts:
+            if attempt > 1:
+                backoff = min(_RETRY_BACKOFF_BASE * (2 ** (attempt - 2)),
+                              _RETRY_BACKOFF_CAP)
+                if self._deadline is not None:
+                    remaining = self._deadline - monotonic()
+                    if remaining <= 0:
+                        raise ExplorationInterrupted(
+                            "timeout",
+                            f"wall-clock budget exhausted while retrying "
+                            f"task {idx} (last error: {error})")
+                    backoff = min(backoff, remaining)
+                _real_sleep(backoff)
+            start = perf_counter()
+            try:
+                value, error = _run_task(
+                    self._runner, self._payloads[idx],
+                    self._fault_plan.get(idx), in_worker=False,
+                    attempt=attempt), None
+            except Exception as exc:  # noqa: BLE001 - surfaces in merge
+                error = f"{type(exc).__name__}: {exc}"
+            self._log_task(idx, -1, perf_counter() - start)
+            if error is None:
+                break
+        self.tallies["inprocess_shards"] += 1
+        self._settle(idx, (value, error))
+
     def _live_sessions(self) -> int:
+        # Connected and heard from within a lease window: a worker that
+        # is SIGSTOPped with its socket open does not count.
+        now = monotonic()
         return sum(1 for s in self._sessions_by_id.values()
-                   if s.conn is not None)
+                   if s.conn is not None
+                   and now - s.last_heard < self.lease_timeout)
 
     # -- socket loop ----------------------------------------------------
 
@@ -451,11 +596,9 @@ class ShardServer:
                  ) -> List[Tuple[Any, Optional[str]]]:
         """Serve the payloads over TCP until every one settles.
 
-        The :func:`~repro.runtime.parallel.run_pool` contract: one
-        ``(value, error)`` outcome per payload, in payload order.
-        ``jobs`` and ``fault_plan`` are accepted for signature
-        compatibility and ignored (worker count is whoever connects;
-        fault injection is :class:`ChaosProxy`'s job).
+        The :func:`run_pool` contract; ``jobs`` and ``fault_plan`` are
+        ignored (the workers are whoever connects).  Remote workers do
+        not know ``deadline``, so the serve loop enforces it.
         """
         self.begin(payloads, runner, on_grant=on_grant,
                    on_settle=on_settle, task_log=task_log,
@@ -475,48 +618,76 @@ class ShardServer:
             selector.register(listener, selectors.EVENT_READ, None)
             if self._announce is not None:
                 self._announce(bound_host, bound_port)
-            start = monotonic()
-            ran_inprocess = False
-            while not self.done:
-                if deadline is not None and monotonic() >= deadline:
-                    raise ExplorationInterrupted(
-                        "timeout", "wall-clock budget exhausted while "
-                        "serving shards")
-                # After an in-process shard, poll with no delay: a solo
-                # coordinator drains its queue at full speed instead of
-                # sleeping _POLL_INTERVAL between shards, while a
-                # connecting worker is still noticed every iteration.
-                wait = 0.0 if ran_inprocess else _POLL_INTERVAL
-                for key, _ in selector.select(timeout=wait):
-                    if key.fileobj is listener:
-                        self._accept(listener, selector, conns)
-                    else:
-                        self._service(key.fileobj, selector, conns)
-                self.tick()
-                self._sweep_stalled(selector, conns)
-                ran_inprocess = self._maybe_solo(start)
+            self._serve(selector, conns, listener, stop_at=deadline)
         finally:
-            for state in list(conns.values()):
-                self._drop_conn(state, selector, conns)
-            try:
-                selector.unregister(listener)
-            except (KeyError, ValueError):  # pragma: no cover
-                pass
+            self._finish(selector, conns)
             listener.close()
-            selector.close()
-            self._collect_worker_tallies()
-        return [outcome for outcome in self._outcomes]
+        return self.outcomes
 
-    def _accept(self, listener: socket.socket, selector, conns) -> None:
+    def _serve_local(self, jobs: int) -> List[Tuple[Any, Optional[str]]]:
+        """Serve the armed shards to ``jobs`` forked local workers."""
+        ctx = mp.get_context("fork")
+        selector = selectors.DefaultSelector()
+        conns: Dict[int, _ConnState] = {}
+        children = []
         try:
-            conn, _addr = listener.accept()
-        except OSError:  # pragma: no cover - raced shutdown
-            return
+            for _ in range(min(jobs, len(self._payloads))):
+                ours, theirs = socket.socketpair()
+                session = self._new_session(
+                    f"local-{len(children)}", local=True)
+                self._attach(ours, selector, conns, session)
+                child = ctx.Process(
+                    target=_local_worker_main,
+                    args=(theirs, [state.conn for state in conns.values()],
+                          session.worker_id, self._payloads, self._runner,
+                          self._fault_plan, _HEARTBEAT_INTERVAL),
+                    daemon=True)
+                child.start()
+                children.append(child)
+                theirs.close()
+            self._serve(selector, conns)
+        finally:
+            self._finish(selector, conns)
+            _reap(children)
+        return self.outcomes
+
+    def _serve(self, selector, conns, listener=None,
+               stop_at: Optional[float] = None) -> None:
+        start = monotonic()
+        ran_inprocess = False
+        while not self.done:
+            if stop_at is not None and monotonic() >= stop_at:
+                raise ExplorationInterrupted(
+                    "timeout", "wall-clock budget exhausted while "
+                    "serving shards")
+            # After an in-process shard, poll with no delay: a solo
+            # coordinator drains its queue at full speed instead of
+            # sleeping _POLL_INTERVAL between shards, while a
+            # connecting worker is still noticed every iteration.
+            wait = 0.0 if ran_inprocess else _POLL_INTERVAL
+            for key, _ in selector.select(timeout=wait):
+                if key.fileobj is listener:
+                    try:
+                        conn, _addr = listener.accept()
+                    except OSError:  # pragma: no cover - raced shutdown
+                        continue
+                    self._attach(conn, selector, conns)
+                else:
+                    self._service(key.fileobj, selector, conns)
+            self.tick()
+            self._sweep_stalled(selector, conns)
+            ran_inprocess = self._maybe_solo(start)
+
+    def _attach(self, conn: socket.socket, selector, conns,
+                session: Optional[_Session] = None) -> None:
         conn.setblocking(True)
         conn.settimeout(self.io_timeout)
         state = _ConnState(conn)
         conns[conn.fileno()] = state
         selector.register(conn, selectors.EVENT_READ, state)
+        if session is not None:
+            session.conn = conn
+            state.session = session
 
     def _service(self, conn: socket.socket, selector, conns) -> None:
         state = conns.get(conn.fileno())
@@ -565,6 +736,7 @@ class ShardServer:
                 state.session = session
             if state.session is not None:
                 state.session.frames_in += 1
+                state.session.last_heard = state.last_progress
             if not self._reply(state, reply):
                 self._drop_conn(state, selector, conns)
                 return
@@ -586,15 +758,32 @@ class ShardServer:
             selector.unregister(state.conn)
         except (KeyError, ValueError):
             pass
-        if state.session is not None and state.session.conn is \
-                state.conn:
+        session = state.session
+        if session is not None and session.conn is state.conn:
             # The session survives (leases intact until expiry); only
-            # the transport endpoint is gone.
-            state.session.conn = None
+            # the transport endpoint is gone -- unless it was a local
+            # worker, which cannot come back: its shard moves on now.
+            session.conn = None
+            if session.local and session.inflight is not None and \
+                    self._leases.holder(session.inflight) == \
+                    session.worker_id:
+                self._lapse(session.inflight, session.worker_id)
         try:
             state.conn.close()
         except OSError:  # pragma: no cover
             pass
+
+    def _finish(self, selector, conns) -> None:
+        """End the run: answer ``done`` to every connection, close all."""
+        for state in list(conns.values()):
+            self._reply(state, {"type": "done"})
+            self._drop_conn(state, selector, conns)
+        selector.close()
+        self.tallies["workers"] = [
+            {"name": s.name, "worker_id": s.worker_id,
+             "frames_in": s.frames_in, "frames_out": s.frames_out,
+             "reconnects": s.reconnects, "shards": s.shards}
+            for _, s in sorted(self._sessions_by_id.items())]
 
     def _sweep_stalled(self, selector, conns) -> None:
         # A peer that sent a frame *prefix* and stopped would otherwise
@@ -610,10 +799,9 @@ class ShardServer:
     def _maybe_solo(self, start: float) -> bool:
         """Degradation ladder's last rung: run a shard ourselves.
 
-        Regrant-exhausted shards always; ordinary pending shards only
-        when no worker is connected (and either one *was* -- all
-        remotes vanished -- or none ever showed within
-        ``solo_after``).  Returns True when a shard was executed.
+        Regrant-exhausted and worker-failed shards always; pending ones
+        only when no worker is live and one ever joined (or none did
+        within ``solo_after``).  True when a shard was executed.
         """
         if not (self._inproc_only or self._pending):
             return False
@@ -621,17 +809,26 @@ class ShardServer:
             return self.run_one_inprocess()
         if self._live_sessions():
             return False
-        if self._ever_connected or monotonic() - start >= \
+        if self._sessions_by_id or monotonic() - start >= \
                 self.solo_after:
             return self.run_one_inprocess()
         return False
 
-    def _collect_worker_tallies(self) -> None:
-        self.tallies["workers"] = [
-            {"name": s.name, "worker_id": s.worker_id,
-             "frames_in": s.frames_in, "frames_out": s.frames_out,
-             "reconnects": s.reconnects, "shards": s.shards}
-            for _, s in sorted(self._sessions_by_id.items())]
+
+def _reap(children) -> None:
+    """Join local workers, escalating to SIGTERM, then SIGKILL.
+
+    SIGTERM can sit pending forever on a stopped process, SIGKILL
+    cannot; the final untimed join reaps the corpse (no zombie leak).
+    """
+    for child in children:
+        child.join(timeout=_JOIN_TIMEOUT)
+        if child.is_alive():
+            child.terminate()
+            child.join(timeout=_JOIN_TIMEOUT)
+        if child.is_alive():
+            child.kill()
+            child.join()
 
 
 # ---------------------------------------------------------------------------
@@ -643,18 +840,13 @@ class ShardWorker:
 
     Connects with deterministic-jitter backoff, identifies itself by a
     stable name, then loops request -> execute -> complete until the
-    server says ``done`` (or vanishes after we were connected, which
-    means the run ended without us).  While a shard executes, a
-    heartbeat thread renews its lease; a heartbeat answered with
-    ``renewed: false`` means the lease was re-granted elsewhere and the
-    worker *abandons* the shard -- its result would be rejected as
-    stale anyway.  Any transport failure mid-RPC reconnects (the
-    server re-recognizes the name and keeps the worker id) and retries
-    up to :data:`RPC_ATTEMPTS` times.
-
-    Scenario code is rebuilt locally from the server's ``welcome``
-    config via :class:`repro.scenarios.ScenarioRef` -- workers on
-    other machines need the repo, never pickled closures.
+    server says ``done`` (or vanishes after we were connected).  While a
+    shard executes, a heartbeat thread renews its lease; a heartbeat
+    answered ``renewed: false`` means the lease moved on, and the worker
+    *abandons* the shard.  A transport failure mid-RPC reconnects (the
+    server keeps the worker id) and retries up to :data:`RPC_ATTEMPTS`
+    times.  Scenario code is rebuilt locally, by name, from the
+    ``welcome`` config -- never from pickled closures.
     """
 
     def __init__(self, host: str, port: int, *,
@@ -682,6 +874,8 @@ class ShardWorker:
         self._worker_id: Optional[int] = None
         self._config: Optional[Dict[str, Any]] = None
         self._resolved = None
+        #: Set once the server said ``done``: the run is over.
+        self._finished = False
         self.ever_connected = False
         self.shards_completed = 0
         #: Client-side transport tallies (mirrors the server's).
@@ -725,6 +919,9 @@ class ShardWorker:
                 last_error = exc
                 sock.close()
                 continue
+            if reply.get("type") == "done":
+                sock.close()
+                raise ServerGone("the run ended as this worker joined")
             if reply.get("type") != "welcome":
                 last_error = ServerGone(
                     f"unexpected hello reply {reply!r}")
@@ -748,10 +945,16 @@ class ShardWorker:
             f"after {self.connect_attempts} attempts: {last_error}")
 
     def _rpc(self, body: Dict[str, Any]) -> Dict[str, Any]:
-        """One request/response exchange, reconnect-and-retry on loss."""
+        """One request/response exchange, reconnect-and-retry on loss.
+
+        Once the server has said ``done`` every further RPC answers
+        ``done`` without touching the (closed) connection.
+        """
         last_error: Optional[Exception] = None
         for attempt in range(self.rpc_attempts):
             with self._lock:
+                if self._finished:
+                    return {"type": "done"}
                 try:
                     if self._sock is None:
                         self._connect()
@@ -778,11 +981,30 @@ class ShardWorker:
                     self._close()
                 self.tallies["retries"] += 1
                 continue
+            if reply.get("type") == "done":
+                self._finished = True
             return reply
         raise ServerGone(f"rpc {body.get('type')!r} failed after "
                          f"{self.rpc_attempts} attempts: {last_error}")
 
-    # -- scenario plumbing ----------------------------------------------
+    def _await_done(self, timeout: float) -> None:
+        """Idle up to ``timeout`` seconds, waking early on ``done``."""
+        with self._lock:
+            if self._sock is None:
+                return
+            try:
+                if not select.select([self._sock], [], [], timeout)[0]:
+                    return
+                reply = wire.recv_frame(
+                    self._sock, deadline=monotonic() + self.rpc_timeout)
+            except (wire.WireError, OSError, ValueError):
+                self._close()  # the next RPC reconnects or gives up
+                return
+        self.tallies["frames_in"] += 1
+        if reply.get("type") == "done":
+            self._finished = True
+
+    # -- shard execution ------------------------------------------------
 
     def _scenario(self):
         if self._resolved is None:
@@ -793,9 +1015,22 @@ class ShardWorker:
             self._resolved = ref.resolve()
         return self._resolved
 
+    def _run_grant(self, grant: Dict[str, Any]) -> Any:
+        """Execute one granted shard; returns ``execute_shard``'s value."""
+        from .parallel import execute_shard
+        config = self._config or {}
+        sc = self._scenario()
+        return execute_shard(
+            sc.build, sc.check, sc.crash_plan_factory,
+            prefix=tuple(grant["prefix"]),
+            sleep=frozenset(grant["sleep"]),
+            max_steps=config.get("max_steps", 24),
+            max_runs=config.get("max_runs", 200_000),
+            reduction=config.get("reduction", "dpor"),
+            state_cache=config.get("state_cache", True))
+
     def _execute(self, grant: Dict[str, Any]) -> None:
         shard = grant["shard"]
-        config = self._config or {}
         stop = threading.Event()
         abandoned = threading.Event()
 
@@ -813,20 +1048,11 @@ class ShardWorker:
 
         pulse = threading.Thread(target=beat, daemon=True)
         pulse.start()
-        error: Optional[str] = None
-        value: Any = None
+        start = perf_counter()
         try:
-            sc = self._scenario()
-            value = execute_shard(
-                sc.build, sc.check, sc.crash_plan_factory,
-                prefix=tuple(grant["prefix"]),
-                sleep=frozenset(grant["sleep"]),
-                max_steps=config.get("max_steps", 24),
-                max_runs=config.get("max_runs", 200_000),
-                reduction=config.get("reduction", "dpor"),
-                state_cache=config.get("state_cache", True))
+            fields = _value_fields(self._run_grant(grant))
         except Exception as exc:  # noqa: BLE001 - reported to the server
-            error = f"{type(exc).__name__}: {exc}"
+            fields = {"error": f"{type(exc).__name__}: {exc}"}
         finally:
             stop.set()
             pulse.join()
@@ -835,15 +1061,9 @@ class ShardWorker:
             # reject this completion as stale, so do not bother it.
             self.tallies["abandoned"] += 1
             return
-        if error is not None:
-            self._rpc({"type": "complete", "shard": shard,
-                       "error": error})
-            return
-        stats, counters = value[0], value[1]
-        reply = self._rpc({"type": "complete", "shard": shard,
-                           "stats": stats_to_dict(stats),
-                           "counters": dict(counters)})
-        if reply.get("accepted"):
+        fields.update(type="complete", shard=shard,
+                      seconds=perf_counter() - start)
+        if self._rpc(fields).get("accepted"):
             self.shards_completed += 1
 
     def run(self) -> int:
@@ -853,23 +1073,23 @@ class ShardWorker:
         *never* reachable; a server that disappears after we joined is
         a normal end of run.
         """
-        with self._lock:
-            self._connect()
         idle_spins = 0
         try:
-            while True:
+            with self._lock:
+                if self._sock is None:
+                    self._connect()
+            while not self._finished:
                 reply = self._rpc({"type": "request"})
                 kind = reply.get("type")
                 if kind == "grant":
                     idle_spins = 0
                     self._execute(reply)
                 elif kind == "idle":
-                    self._sleep(min(_IDLE_WAIT * (idle_spins + 1), 1.0))
+                    self._await_done(min(_IDLE_WAIT * (idle_spins + 1),
+                                         1.0))
                     idle_spins += 1
-                elif kind == "done":
-                    break
                 else:
-                    break  # unknown vocabulary: future server, give up
+                    break  # done, or unknown vocabulary: give up
         except ServerGone:
             pass  # run over (or coordinator died); either way, stop
         finally:
@@ -877,156 +1097,48 @@ class ShardWorker:
         return self.shards_completed
 
 
-# ---------------------------------------------------------------------------
-# Chaos proxy
-# ---------------------------------------------------------------------------
+class _LocalWorker(ShardWorker):
+    """A forked pool worker: a :class:`ShardWorker` on a socketpair.
 
-class ChaosProxy:
-    """A fault-injecting TCP relay for netshard traffic.
-
-    Sits between workers and the server and mangles the *frame* stream
-    (it splits raw bytes on wire headers without decoding payloads):
-    per frame and per direction it may drop it, delay it, duplicate
-    it, truncate it mid-frame (then cut the connection, as a crashing
-    peer would), hold it back one frame (reorder), or disconnect both
-    sides cold.  All decisions come from a seeded RNG, so a chaotic
-    run is exactly reproducible -- this is ``MessageFaultPlan`` for
-    the transport layer, and the ``network`` differential tier runs
-    the full exploration through it and still demands bit-for-bit
-    deterministic results.
+    Its session exists before the fork (no ``hello``), it runs
+    ``runner(payloads[shard])`` from inherited memory, and it cannot
+    redial: a lost socket means the coordinator is gone.
     """
 
-    def __init__(self, upstream_host: str, upstream_port: int, *,
-                 listen_host: str = "127.0.0.1", listen_port: int = 0,
-                 seed: int = 0, drop: float = 0.0,
-                 duplicate: float = 0.0, delay: float = 0.0,
-                 delay_seconds: float = 0.02, truncate: float = 0.0,
-                 reorder: float = 0.0, disconnect: float = 0.0) -> None:
-        self.upstream = (upstream_host, upstream_port)
-        self.listen_host = listen_host
-        self.listen_port = listen_port
-        self.seed = seed
-        self.rates = {"drop": drop, "duplicate": duplicate,
-                      "delay": delay, "truncate": truncate,
-                      "reorder": reorder, "disconnect": disconnect}
-        self.delay_seconds = delay_seconds
-        #: Count of injected faults by kind (tests assert chaos fired).
-        self.injected: Dict[str, int] = {kind: 0 for kind in self.rates}
-        self._listener: Optional[socket.socket] = None
-        self._threads: List[threading.Thread] = []
-        self._stopping = threading.Event()
-        self._conn_seq = itertools.count()
+    def __init__(self, sock: socket.socket, worker_id: int,
+                 payloads: Sequence[Any], runner: Callable[[Any], Any],
+                 fault_plan: Dict[int, str],
+                 heartbeat_interval: float) -> None:
+        super().__init__("localhost", 0, name=f"local-{worker_id}",
+                         heartbeat_interval=heartbeat_interval,
+                         # The coordinator's death shows as EOF; a long
+                         # in-process shard may keep it silent for long.
+                         rpc_timeout=24 * 3600.0)
+        self._sock = sock
+        self._worker_id = worker_id
+        self.ever_connected = True
+        self._payloads = payloads
+        self._runner = runner
+        self._fault_plan = fault_plan
 
-    def start(self) -> Tuple[str, int]:
-        """Bind, start relaying in background threads; returns address."""
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.listen_host, self.listen_port))
-        listener.listen(16)
-        listener.settimeout(0.1)
-        self._listener = listener
-        self.listen_port = listener.getsockname()[1]
-        acceptor = threading.Thread(target=self._accept_loop, daemon=True)
-        acceptor.start()
-        self._threads.append(acceptor)
-        return self.listen_host, self.listen_port
+    def _connect(self) -> None:
+        raise ServerGone("the coordinator closed its socketpair end")
 
-    def stop(self) -> None:
-        """Stop accepting and tear the relay threads down."""
-        self._stopping.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:  # pragma: no cover
-                pass
-        for thread in self._threads:
-            thread.join(timeout=2.0)
-
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while not self._stopping.is_set():
-            try:
-                client, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            try:
-                upstream = socket.create_connection(self.upstream,
-                                                    timeout=5.0)
-            except OSError:
-                client.close()
-                continue
-            conn_id = next(self._conn_seq)
-            for label, src, dst in (("c2s", client, upstream),
-                                    ("s2c", upstream, client)):
-                pump = threading.Thread(
-                    target=self._pump,
-                    args=(src, dst, f"{conn_id}:{label}"),
-                    daemon=True)
-                pump.start()
-                self._threads.append(pump)
-
-    def _pump(self, src: socket.socket, dst: socket.socket,
-              stream_key: str) -> None:
-        import random
-        rng = random.Random(f"{self.seed}:{stream_key}")
-        buffer = b""
-        held: List[bytes] = []
-        src.settimeout(0.2)
-        try:
-            while not self._stopping.is_set():
-                try:
-                    data = src.recv(65536)
-                except socket.timeout:
-                    continue
-                except OSError:
-                    break
-                if not data:
-                    break
-                buffer += data
-                frames, buffer = wire.split_frames(buffer)
-                for frame in frames:
-                    fault = self._roll(rng)
-                    if fault == "drop":
-                        continue
-                    if fault == "duplicate":
-                        dst.sendall(frame)
-                        dst.sendall(frame)
-                    elif fault == "delay":
-                        _real_sleep(self.delay_seconds)
-                        dst.sendall(frame)
-                    elif fault == "truncate":
-                        dst.sendall(frame[:max(1, len(frame) // 2)])
-                        raise _Cut()
-                    elif fault == "disconnect":
-                        raise _Cut()
-                    elif fault == "reorder":
-                        held.append(frame)
-                        continue
-                    else:
-                        dst.sendall(frame)
-                    while held:
-                        dst.sendall(held.pop(0))
-        except (_Cut, OSError):
-            pass
-        finally:
-            for sock in (src, dst):
-                try:
-                    sock.close()
-                except OSError:  # pragma: no cover
-                    pass
-
-    def _roll(self, rng) -> Optional[str]:
-        point = rng.random()
-        cumulative = 0.0
-        for kind, rate in self.rates.items():
-            cumulative += rate
-            if point < cumulative:
-                self.injected[kind] += 1
-                return kind
-        return None
+    def _run_grant(self, grant: Dict[str, Any]) -> Any:
+        idx = grant["shard"]
+        return _run_task(self._runner, self._payloads[idx],
+                         self._fault_plan.get(idx), in_worker=True)
 
 
-class _Cut(Exception):
-    """Internal: a chaos fault severed this relay direction."""
+def _local_worker_main(sock: socket.socket, server_ends, worker_id: int,
+                       payloads, runner, fault_plan: Dict[int, str],
+                       heartbeat_interval: float) -> None:
+    """Entry point of a forked local worker."""
+    for end in server_ends:
+        # Drop the coordinator's ends inherited at the fork, so each
+        # side sees EOF the moment the other dies.
+        end.close()
+    _LocalWorker(sock, worker_id, payloads, runner, fault_plan,
+                 heartbeat_interval).run()
+    if "sigstop" in (fault_plan.get(-1) or "").split(","):
+        os.kill(os.getpid(), signal.SIGSTOP)

@@ -13,10 +13,13 @@ here
    and propagates sleep sets to the frontier nodes with the exact rule
    the serial engine uses, so the union of shard subtrees covers the same
    Mazurkiewicz traces the serial search would;
-2. farms each frontier prefix out to a ``fork``-based worker pool
-   (:func:`run_pool`), each worker replaying its prefix and exploring the
-   subtree with the ordinary serial engine in *collect* mode (property
-   failures are recorded, not raised, so every shard finishes);
+2. farms each frontier prefix out to the shard pool
+   (:func:`repro.runtime.netshard.run_pool`: forked
+   :class:`~repro.runtime.netshard.ShardWorker` children on socketpairs,
+   or remote workers when a ``ShardServer`` is the ``pool``), each
+   worker replaying its prefix and exploring the subtree with the
+   ordinary serial engine in *collect* mode (property failures are
+   recorded, not raised, so every shard finishes);
 3. **merges** shard statistics in frontier order via
    :meth:`ExplorationStats.merge` -- run counts and the winning violation
    (first by lexicographic prefix order) are therefore reproducible
@@ -28,28 +31,24 @@ Determinism contract: the frontier target is independent of ``jobs``
 explore the *identical* shards and report identical statistics and
 counterexamples; ``jobs`` only controls how many OS processes execute
 them.  Degradation is graceful: with ``jobs=1``, a single shard, or no
-``fork`` start method, shards run in-process; a worker that dies
-mid-shard (e.g. SIGKILL) has its orphaned shard re-executed in-process,
-which is sound because shards are deterministic.
+``fork`` start method, shards run in-process; a worker that dies or
+wedges mid-shard (e.g. SIGKILL, SIGSTOP) has its shard re-granted and,
+past the re-grant budget, re-executed in-process, which is sound
+because shards are deterministic.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import multiprocessing.connection  # noqa: F401 - mp.connection.wait
 import os
-import pickle
-from typing import (Any, Callable, Dict, Generator, List, Optional,
-                    Sequence, Tuple, Union)
+from typing import (Any, Callable, Dict, Generator, List, Optional, Tuple,
+                    Union)
 
-from .crash import CrashPlan
 from .dpor import (Counterexample, CounterexampleFound, _explore_core,
                    _System, replay_schedule, shrink_schedule)
 from .explore import (ExplorationInterrupted, ExplorationStats,
                       ShardViolation, _explore_naive, _max_runs_interrupt,
                       _past_deadline, _run_prefix, _timeout_interrupt)
-from .lease import (DEFAULT_HEARTBEAT_INTERVAL, DEFAULT_LEASE_TIMEOUT,
-                    LeaseTable)
+from .netshard import run_pool
 from .ops import conflicts
 from .run import RunResult
 
@@ -64,47 +63,6 @@ DEFAULT_PREFIX_FACTOR = 4
 #: makes the sharding -- and hence all merged statistics -- identical
 #: for every ``jobs <= max(_FRONTIER_BASE, cpu_count)``.
 _FRONTIER_BASE = 16
-
-#: Seconds between liveness checks while waiting on the result queue.
-_POLL_INTERVAL = 0.05
-
-#: Seconds granted at each stage of worker teardown (cooperative exit,
-#: then SIGTERM, then SIGKILL) before escalating.  Module-level so tests
-#: can shrink it.
-_JOIN_TIMEOUT = 2.0
-
-#: In-process attempts granted to a failed task (a dead worker's orphan
-#: or a worker-reported error) before the failure is surfaced.
-_RETRY_MAX_ATTEMPTS = 3
-
-#: Base/cap of the exponential backoff slept between retry attempts
-#: (0.05s, 0.1s, ... capped).  Module-level so tests can shrink them.
-_RETRY_BACKOFF_BASE = 0.05
-_RETRY_BACKOFF_CAP = 1.0
-
-#: Lease timeout / heartbeat interval for the coordinator/worker split
-#: (see :mod:`repro.runtime.lease`).  A worker renews its shard's lease
-#: on every heartbeat; a lease that lapses (SIGKILLed, SIGSTOPped, or
-#: otherwise silent worker) has its shard re-granted.  Module-level so
-#: tests can shrink both.
-_LEASE_TIMEOUT = DEFAULT_LEASE_TIMEOUT
-_HEARTBEAT_INTERVAL = DEFAULT_HEARTBEAT_INTERVAL
-
-#: Times a shard may be re-granted to another worker (after a lapsed
-#: lease or a dead holder) before the coordinator falls back to the
-#: in-process retry ladder.  Bounds the damage of a *deterministically*
-#: worker-killing shard: each re-grant costs one worker, the in-process
-#: fallback costs none.
-_REGRANT_MAX = 2
-
-
-def fork_available() -> bool:
-    """Can this platform start workers by ``fork``?
-
-    Sharded exploration ships closures to workers by fork-time memory
-    inheritance, so ``spawn``-only platforms degrade to serial.
-    """
-    return "fork" in mp.get_all_start_methods()
 
 
 def resolve_jobs(jobs: Union[int, str, None]) -> int:
@@ -127,374 +85,6 @@ def resolve_jobs(jobs: Union[int, str, None]) -> int:
         raise ValueError(
             f"jobs must be a positive integer or 'auto', got {jobs!r}")
     return jobs
-
-
-# ---------------------------------------------------------------------------
-# The worker pool.
-# ---------------------------------------------------------------------------
-
-def _run_task(runner: Callable[[Any], Any], payload: Any,
-              fault: Optional[str], in_worker: bool,
-              attempt: int = 0):
-    """Execute one task, honouring injected test faults.
-
-    Fault kinds (comma-separated): ``sigkill`` makes a *worker* die
-    silently before running (ignored in-process, so re-execution
-    succeeds); ``raise`` fails the task everywhere (so re-execution
-    fails too); ``flaky`` fails in workers and on the *first* in-process
-    retry but succeeds from the second retry on -- it distinguishes the
-    capped-backoff retry ladder from a single re-execution.  ``attempt``
-    is 0 for the original (worker or degraded in-process) execution and
-    counts the coordinator's in-process retries from 1.  Returns
-    ``((value, error_message_or_None), seconds)`` where ``seconds`` is
-    the task's own wall-clock (metrics only -- never part of
-    exploration statistics).
-    """
-    from time import perf_counter
-    kinds = set(fault.split(",")) if fault else set()
-    if "sigkill" in kinds and in_worker:
-        import signal
-        os.kill(os.getpid(), signal.SIGKILL)
-    start = perf_counter()
-    try:
-        if "raise" in kinds:
-            raise RuntimeError("injected shard fault")
-        if "flaky" in kinds and (in_worker or attempt < 2):
-            raise RuntimeError("injected flaky shard fault")
-        return (runner(payload), None), perf_counter() - start
-    except Exception as exc:  # noqa: BLE001 - reported to the coordinator
-        return (None, f"{type(exc).__name__}: {exc}"), \
-            perf_counter() - start
-
-
-def _worker_loop(task_conn, result_conn,
-                 runner: Callable[[Any], Any],
-                 fault_plan: Optional[Dict[int, str]],
-                 heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL
-                 ) -> None:
-    """Worker main: drain the private task pipe until the sentinel.
-
-    The worker pickles each outcome itself and ships opaque bytes; a
-    value that fails to pickle therefore surfaces as a task error
-    instead of wedging the coordinator.  Every channel is private to
-    this worker, so even SIGKILL cannot corrupt a sibling's stream (a
-    shared ``mp.Queue`` would hang survivors if a worker died holding
-    its write lock).
-
-    While a task runs, a per-task heartbeat thread sends
-    ``("heartbeat", idx)`` frames every ``heartbeat_interval`` seconds;
-    the coordinator renews the task's lease on each one, so only a
-    worker that stops making *any* progress (died, SIGSTOPped, wedged
-    in a non-Python call) lets its lease lapse.  Heartbeat and result
-    frames share the pipe under a lock, so a result can never interleave
-    with a beat mid-frame.
-
-    Test-only ``fault_plan`` entries: ``-1: "sigstop"`` makes the
-    worker SIGSTOP itself *on receiving the shutdown sentinel* (the
-    teardown-escalation fixture); a per-task ``"sigstop"`` makes it
-    stop *before* the first heartbeat of that task -- a worker wedged
-    mid-shard, observable only through lease expiry.
-    """
-    import threading
-    send_lock = threading.Lock()
-
-    def send_frame(blob: bytes) -> None:
-        with send_lock:
-            result_conn.send_bytes(blob)
-
-    while True:
-        item = task_conn.recv()
-        if item is None:
-            if "sigstop" in set(((fault_plan or {}).get(-1) or "")
-                                .split(",")):
-                import signal
-                os.kill(os.getpid(), signal.SIGSTOP)
-            return
-        idx, payload = item
-        fault = (fault_plan or {}).get(idx)
-        if "sigstop" in set((fault or "").split(",")):
-            import signal
-            os.kill(os.getpid(), signal.SIGSTOP)
-        stop = threading.Event()
-
-        def beat(task_idx: int = idx) -> None:
-            while not stop.wait(heartbeat_interval):
-                try:
-                    send_frame(pickle.dumps(("heartbeat", task_idx)))
-                except (OSError, ValueError):
-                    return  # coordinator gone; the worker is doomed too
-        pulse = threading.Thread(target=beat, daemon=True)
-        pulse.start()
-        try:
-            outcome, seconds = _run_task(runner, payload, fault,
-                                         in_worker=True)
-        finally:
-            stop.set()
-            pulse.join()
-        try:
-            blob = pickle.dumps((idx, outcome, seconds))
-        except Exception as exc:  # noqa: BLE001 - unpicklable result
-            blob = pickle.dumps(
-                (idx, (None, f"unpicklable task result: "
-                             f"{type(exc).__name__}: {exc}"), seconds))
-        send_frame(blob)
-
-
-class _Worker:
-    """One pool worker: a forked process plus its two private pipes."""
-
-    __slots__ = ("wid", "proc", "task_conn", "result_conn", "inflight")
-
-    def __init__(self, wid: int, ctx, runner, fault_plan,
-                 heartbeat_interval: float) -> None:
-        self.wid = wid
-        task_recv, self.task_conn = ctx.Pipe(duplex=False)
-        self.result_conn, result_send = ctx.Pipe(duplex=False)
-        self.proc = ctx.Process(
-            target=_worker_loop,
-            args=(task_recv, result_send, runner, fault_plan,
-                  heartbeat_interval),
-            daemon=True)
-        self.proc.start()
-        # Close the child's ends in the coordinator so EOF is observable
-        # the moment the worker dies.
-        task_recv.close()
-        result_send.close()
-        self.inflight: Optional[int] = None
-
-
-def run_pool(payloads: Sequence[Any],
-             runner: Callable[[Any], Any],
-             jobs: int,
-             fault_plan: Optional[Dict[int, str]] = None,
-             task_log: Optional[List[Dict[str, Any]]] = None,
-             deadline: Optional[float] = None,
-             on_grant: Optional[Callable[[int, int], None]] = None,
-             on_settle: Optional[Callable[[int, Any], None]] = None
-             ) -> List[Tuple[Any, Optional[str]]]:
-    """Run ``runner(payload)`` for every payload on up to ``jobs`` forks.
-
-    Returns one ``(value, error_message_or_None)`` outcome per payload,
-    in payload order.  Degrades to in-process execution when ``jobs <=
-    1``, there is at most one payload, or the platform lacks ``fork``.
-    ``fault_plan`` maps payload index to an injected fault kind (tests
-    only; see :func:`_run_task` and :func:`_worker_loop`).
-
-    Tasks are handed out under **leases** (:mod:`repro.runtime.lease`):
-    each grant expires after ``_LEASE_TIMEOUT`` seconds unless renewed
-    by the worker's heartbeat frames.  A lease that lapses -- the
-    holder died (also observed immediately as EOF on its private result
-    pipe), was SIGSTOPped, or wedged -- gets its task re-granted to a
-    free live worker, up to ``_REGRANT_MAX`` times, then falls back to
-    the coordinator's in-process retry ladder.  Re-execution in any
-    venue is sound because tasks are deterministic; a late result from
-    a presumed-dead holder is deduplicated (first settle wins).
-
-    A failed task -- an orphan with no worker left to take it or a
-    worker-reported error -- is retried in-process up to
-    ``_RETRY_MAX_ATTEMPTS`` times with capped exponential backoff
-    between attempts (``_RETRY_BACKOFF_BASE`` doubling up to
-    ``_RETRY_BACKOFF_CAP``).  Each backoff is clamped to the remaining
-    ``deadline`` budget, and a ladder that reaches the deadline raises
-    :class:`~repro.runtime.explore.ExplorationInterrupted` instead of
-    sleeping past it.  The degraded (in-process) pool keeps single-shot
-    execution: there is no worker boundary for a transient fault to
-    hide behind.
-
-    ``on_grant(idx, wid)`` / ``on_settle(idx, outcome)`` are optional
-    observer hooks, fired for every grant (worker ``-1`` = the
-    coordinator itself) and exactly once per settled outcome -- the
-    frontier store journals through them.  ``task_log``, when given,
-    receives one ``{"index", "worker", "seconds"}`` entry per executed
-    task (metrics only).
-
-    Teardown never leaks children: each worker gets ``_JOIN_TIMEOUT``
-    seconds to exit after the sentinel, is SIGTERMed and re-joined on
-    timeout, and SIGKILLed (then reaped with a final ``join``) if it is
-    *still* alive -- a wedged worker can therefore neither linger as a
-    zombie nor survive the pool as a stopped orphan.
-    """
-    n = len(payloads)
-    if n == 0:
-        return []
-
-    def log_task(idx: int, wid: int, seconds: float) -> None:
-        if task_log is not None:
-            task_log.append(
-                {"index": idx, "worker": wid, "seconds": seconds})
-
-    if jobs <= 1 or n <= 1 or not fork_available():
-        outcomes = []
-        for i, p in enumerate(payloads):
-            if on_grant is not None:
-                on_grant(i, -1)
-            outcome, seconds = _run_task(runner, p,
-                                         (fault_plan or {}).get(i),
-                                         in_worker=False)
-            log_task(i, -1, seconds)
-            if on_settle is not None:
-                on_settle(i, outcome)
-            outcomes.append(outcome)
-        return outcomes
-
-    ctx = mp.get_context("fork")
-    pending = list(range(n))          # task indices not yet handed out
-    outcomes: List[Optional[Tuple[Any, Optional[str]]]] = [None] * n
-    done = 0
-    leases = LeaseTable(timeout=_LEASE_TIMEOUT)
-    regrants: Dict[int, int] = {}     # worker re-executions per task
-    workers = [_Worker(wid, ctx, runner, fault_plan, _HEARTBEAT_INTERVAL)
-               for wid in range(min(jobs, n))]
-    live = list(workers)
-
-    def assign(worker: _Worker) -> None:
-        if pending and worker.inflight is None:
-            idx = pending.pop(0)
-            worker.inflight = idx
-            leases.grant(idx, worker.wid)
-            if on_grant is not None:
-                on_grant(idx, worker.wid)
-            worker.task_conn.send((idx, payloads[idx]))
-
-    def settle(idx: int, outcome) -> None:
-        nonlocal done
-        if outcomes[idx] is None:
-            outcomes[idx] = outcome
-            done += 1
-            leases.release(idx)
-            if on_settle is not None:
-                on_settle(idx, outcome)
-
-    def recover(idx: int, last_error: Optional[str] = None) -> None:
-        # In-process re-execution of a failed task: up to
-        # _RETRY_MAX_ATTEMPTS attempts with capped exponential backoff
-        # between them (tasks are deterministic modulo infrastructure
-        # faults, so a retry that succeeds is as good as a worker run).
-        from time import monotonic, sleep
-        for attempt in range(1, _RETRY_MAX_ATTEMPTS + 1):
-            if attempt > 1:
-                backoff = min(_RETRY_BACKOFF_BASE * (2 ** (attempt - 2)),
-                              _RETRY_BACKOFF_CAP)
-                if deadline is not None:
-                    remaining = deadline - monotonic()
-                    if remaining <= 0:
-                        # The wall-clock budget is gone: surface the
-                        # interrupt instead of sleeping past it (the
-                        # caller merges whatever coverage it holds).
-                        raise ExplorationInterrupted(
-                            "timeout",
-                            f"wall-clock budget exhausted while "
-                            f"retrying task {idx} (last error: "
-                            f"{last_error})")
-                    backoff = min(backoff, remaining)
-                sleep(backoff)
-            outcome, seconds = _run_task(runner, payloads[idx],
-                                         (fault_plan or {}).get(idx),
-                                         in_worker=False,
-                                         attempt=attempt)
-            log_task(idx, -1, seconds)
-            if outcome[1] is None:
-                settle(idx, outcome)
-                return
-            last_error = outcome[1]
-        settle(idx, (None, last_error))
-
-    def redispatch(idx: int) -> None:
-        # The task's lease lapsed or its holder died.  Hand it to a
-        # free live worker while the re-grant budget lasts; otherwise
-        # run it in-process *now* -- queueing it with no free worker
-        # could wait forever on a pool whose every member is wedged.
-        if outcomes[idx] is not None:
-            return
-        free = [w for w in live if w.inflight is None]
-        if regrants.get(idx, 0) < _REGRANT_MAX and free:
-            regrants[idx] = regrants.get(idx, 0) + 1
-            pending.insert(0, idx)
-            assign(free[0])
-        else:
-            recover(idx)
-
-    try:
-        for worker in live:
-            assign(worker)
-        while done < n:
-            if not live:
-                for idx in list(pending):
-                    recover(idx)
-                pending.clear()
-                break
-            for lease in leases.expired():
-                # The holder may be wedged or merely silent; either
-                # way it stopped heartbeating for a whole lease
-                # window.  Leave its inflight mark (a late result is
-                # deduplicated by settle) and move the shard on.
-                leases.release(lease.shard)
-                redispatch(lease.shard)
-            if done >= n:
-                break
-            ready = mp.connection.wait(
-                [w.result_conn for w in live], timeout=_POLL_INTERVAL)
-            conns = {id(w.result_conn): w for w in live}
-            for conn in ready:
-                worker = conns[id(conn)]
-                try:
-                    frame = pickle.loads(conn.recv_bytes())
-                except (EOFError, OSError):
-                    # Worker died mid-task: retire it, release its
-                    # lease, and move its task to a surviving worker
-                    # (or in-process) via the same re-grant path a
-                    # lapsed lease takes.
-                    live.remove(worker)
-                    if worker.inflight is not None:
-                        idx = worker.inflight
-                        if leases.holder(idx) == worker.wid:
-                            # Only redispatch if the corpse still held
-                            # the lease -- after an expiry the task is
-                            # already granted (or settled) elsewhere.
-                            leases.release(idx)
-                            redispatch(idx)
-                    continue
-                if frame[0] == "heartbeat":
-                    leases.renew(frame[1], worker.wid)
-                    continue
-                idx, outcome, seconds = frame
-                log_task(idx, worker.wid, seconds)
-                if outcomes[idx] is not None:
-                    # Late duplicate from a presumed-lost holder whose
-                    # task was already re-executed elsewhere.
-                    pass
-                elif outcome[1] is not None:
-                    # Worker-reported failure: walk the retry ladder
-                    # before surfacing it (the worker stays usable).
-                    recover(idx, last_error=outcome[1])
-                else:
-                    settle(idx, outcome)
-                worker.inflight = None
-                assign(worker)
-    finally:
-        for worker in workers:
-            try:
-                worker.task_conn.send(None)
-            except Exception:  # noqa: BLE001 - teardown best-effort
-                pass
-        for worker in workers:
-            worker.proc.join(timeout=_JOIN_TIMEOUT)
-            if worker.proc.is_alive():
-                worker.proc.terminate()
-                worker.proc.join(timeout=_JOIN_TIMEOUT)
-            if worker.proc.is_alive():
-                # SIGTERM can sit pending forever on a stopped process;
-                # SIGKILL cannot be blocked or deferred.  The final
-                # join has no timeout: it only reaps an already-dead
-                # child, and skipping it is exactly the zombie leak.
-                worker.proc.kill()
-                worker.proc.join()
-            for conn in (worker.task_conn, worker.result_conn):
-                try:
-                    conn.close()
-                except OSError:  # pragma: no cover - already closed
-                    pass
-    return [outcome for outcome in outcomes]  # all settled
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +191,7 @@ def _expand_frontier(build: Builder,
 
 
 # ---------------------------------------------------------------------------
-# Shard execution (shared by pool workers and remote netshard workers).
+# Shard execution (the unit of work of every pool venue).
 # ---------------------------------------------------------------------------
 
 def execute_shard(build: Builder,
@@ -617,9 +207,9 @@ def execute_shard(build: Builder,
                   deadline: Optional[float] = None):
     """Explore one frontier shard; the unit of work every venue runs.
 
-    This is the exact computation a fork-pool worker, the in-process
-    fallback, and a remote :class:`repro.runtime.netshard.ShardWorker`
-    perform for a ``(prefix, sleep_set)`` shard -- one function, so
+    This is the exact computation a local or remote
+    :class:`repro.runtime.netshard.ShardWorker` and the in-process
+    fallback perform for a ``(prefix, sleep_set)`` shard -- one function, so
     "where a shard ran" can never change what it computed.  Returns
     ``(stats, counters)`` for a completed shard, or ``(partial_stats,
     counters, reason)`` when the budget interrupted it (the partial
@@ -721,16 +311,12 @@ def explore_parallel(build: Optional[Builder] = None,
     fingerprint is validated against this call's configuration
     (:class:`repro.runtime.frontier.FrontierMismatch` on divergence).
 
-    ``pool`` substitutes the execution venue: any callable with
-    :func:`run_pool`'s signature (``(payloads, runner, jobs, *,
-    fault_plan, task_log, deadline, on_grant, on_settle) ->
-    outcomes``).  The network shard service passes a
-    :class:`repro.runtime.netshard.ShardServer` here, so frontier
-    expansion, durable journaling, deterministic merging and ddmin
-    shrinking are the same code whichever transport executed the
-    shards.  The venue is deliberately absent from the checkpoint
-    fingerprint, exactly like ``jobs``: a socket-served checkpoint
-    resumes under a plain ``check --resume`` and vice versa.
+    ``pool`` substitutes the execution venue: any callable with the
+    signature of the default, :func:`repro.runtime.netshard.run_pool`.
+    ``serve`` passes a :class:`repro.runtime.netshard.ShardServer` --
+    the same pool, listening on TCP instead of forking.  The venue is
+    absent from the checkpoint fingerprint, like ``jobs``: a
+    socket-served checkpoint resumes under ``check --resume``.
     """
     if scenario is not None and (build is None or check is None):
         resolved = scenario.resolve()
@@ -787,35 +373,28 @@ def explore_parallel(build: Optional[Builder] = None,
                              perf_counter() - phase_start)
         metrics.shard_count = len(shards)
 
-    # Worker-side shard runner.  Workers resolve the scenario once per
-    # process (closures do not survive pickling; a ScenarioRef does) and
-    # fall back to the fork-inherited closures otherwise.
+    # Worker-side shard runner.  Given a ScenarioRef, each process
+    # resolves the scenario once for itself; otherwise it runs the
+    # closures inherited at the fork.
     ctx_holder: Dict[str, Any] = {}
 
     def shard_context():
-        if "build" not in ctx_holder:
-            if scenario is not None:
-                resolved = scenario.resolve()
-                ctx_holder["build"] = resolved.build
-                ctx_holder["check"] = check if scenario is None \
-                    else resolved.check
-                ctx_holder["cpf"] = (crash_plan_factory
-                                     if scenario is None
-                                     else resolved.crash_plan_factory)
-            else:
-                ctx_holder["build"] = build
-                ctx_holder["check"] = check
-                ctx_holder["cpf"] = crash_plan_factory
-        return ctx_holder["build"], ctx_holder["check"], ctx_holder["cpf"]
+        if not ctx_holder:
+            source = scenario.resolve() if scenario is not None else None
+            ctx_holder["ctx"] = (
+                (source.build, source.check, source.crash_plan_factory)
+                if source is not None
+                else (build, check, crash_plan_factory))
+        return ctx_holder["ctx"]
 
     def run_shard(payload):
-        # Shards always report their counters -- a plain picklable dict
-        # riding back beside the statistics -- because the worker cannot
-        # know whether the coordinator is collecting metrics.  A budget
-        # interruption inside the shard is marshalled as a third tuple
+        # Shards always report their counters -- a plain dict riding
+        # back beside the statistics -- because the worker cannot know
+        # whether the coordinator is collecting metrics.  A budget
+        # interruption inside the shard comes back as a third tuple
         # element (reason) rather than an error string, so the partial
-        # statistics survive the worker pipe and the coordinator can
-        # merge them before re-raising.
+        # statistics reach the coordinator, which merges them before
+        # re-raising.
         prefix, sleep = payload
         b, c, cpf = shard_context()
         return execute_shard(b, c, cpf, prefix=prefix, sleep=sleep,

@@ -25,8 +25,8 @@ prompt** failure:
   code retries what is retryable and surfaces what is not.
 
 ``tests/runtime/test_wire.py`` pins each failure mode; the chaos proxy
-(:class:`repro.runtime.netshard.ChaosProxy`) manufactures them on live
-connections.
+of the ``network`` test tier (``tests/support/chaos.py``) manufactures
+them on live connections.
 """
 
 from __future__ import annotations

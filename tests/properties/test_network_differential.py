@@ -27,9 +27,10 @@ from repro.__main__ import main
 from repro.analysis.metrics import ExplorationMetrics, deterministic_view
 from repro.runtime import CounterexampleFound, explore
 from repro.runtime.frontier import KILL_AFTER_ENV
-from repro.runtime.netshard import ChaosProxy, ShardServer, ShardWorker
+from repro.runtime.netshard import ShardServer, ShardWorker
 from repro.runtime.parallel import explore_parallel
 from repro.scenarios import SOUND_SCENARIOS, ScenarioRef, check_scenarios
+from tests.support.chaos import ChaosProxy
 
 pytestmark = pytest.mark.network
 
@@ -57,10 +58,12 @@ class _SocketRun:
     """
 
     def __init__(self, name, sc, n=3, lease_timeout=5.0,
-                 metrics=None, **server_kwargs):
+                 metrics=None, max_runs=None, frontier=None,
+                 **server_kwargs):
         self.sc = sc
+        max_runs = max_runs or sc.max_runs
         config = {"scenario": name, "n": n, "x": 2,
-                  "max_steps": sc.max_steps, "max_runs": sc.max_runs,
+                  "max_steps": sc.max_steps, "max_runs": max_runs,
                   "reduction": "dpor", "state_cache": True}
         self._ready = threading.Event()
         self._addr = {}
@@ -81,10 +84,10 @@ class _SocketRun:
                 self._box["stats"] = explore_parallel(
                     sc.build, sc.check,
                     crash_plan_factory=sc.crash_plan_factory,
-                    max_steps=sc.max_steps, max_runs=sc.max_runs,
+                    max_steps=sc.max_steps, max_runs=max_runs,
                     jobs=1, reduction="dpor",
                     scenario=ScenarioRef(name, n=n), metrics=metrics,
-                    pool=self.server)
+                    frontier=frontier, pool=self.server)
             except BaseException as exc:  # noqa: BLE001 - re-raised
                 self._box["error"] = exc
 
@@ -165,6 +168,10 @@ class TestSocketDifferential:
             assert tallies["remote_shards"] \
                 + tallies["inprocess_shards"] \
                 >= serial_metrics.shard_count
+            # Remote workers report their shards and busy time too.
+            assert any(row["worker"] >= 0 and row["shards"] > 0
+                       for row in socket_metrics.workers), \
+                socket_metrics.workers
 
     def test_broken_demo_socket_finds_identical_counterexample(self):
         sc = check_scenarios()["broken-demo"]
@@ -180,6 +187,40 @@ class TestSocketDifferential:
         assert socket_exc.value.counterexample.schedule == \
             serial_exc.value.counterexample.schedule
         assert socket_exc.value.stats == serial_exc.value.stats
+
+
+class TestInterruptedShards:
+    def test_budget_interrupted_shards_stay_pending_like_jobs_two(
+            self, tmp_path):
+        """A shard stopped by ``max_runs`` is not complete: a served
+        run must leave the same shards pending in the journal as a
+        ``jobs=2`` run, so a resume re-explores them."""
+        from repro.runtime import ExplorationInterrupted, FrontierStore
+        name = "adopt-commit"
+        sc = _scenario(name)
+        pending = {}
+        for venue in ("fork", "socket"):
+            path = str(tmp_path / f"{venue}.jsonl")
+            with pytest.raises(ExplorationInterrupted) as excinfo:
+                if venue == "fork":
+                    explore_parallel(
+                        sc.build, sc.check,
+                        crash_plan_factory=sc.crash_plan_factory,
+                        max_steps=sc.max_steps, max_runs=10, jobs=2,
+                        scenario=ScenarioRef(name),
+                        frontier=FrontierStore(path))
+                else:
+                    run = _SocketRun(name, sc, max_runs=10,
+                                     frontier=FrontierStore(path))
+                    run.attach_worker("budget-w0")
+                    run.attach_worker("budget-w1")
+                    run.finish()
+            assert excinfo.value.reason == "max_runs"
+            store = FrontierStore(path)
+            store.load()
+            pending[venue] = store.pending_indices(len(store.shards))
+        assert pending["fork"], "no shard hit the budget; test is vacuous"
+        assert pending["socket"] == pending["fork"]
 
 
 class TestChaos:
@@ -263,6 +304,36 @@ class TestProcessDeath:
         assert tallies["remote_shards"] > 0, "worker never served"
         assert tallies["inprocess_shards"] > 0, \
             "the coordinator never had to fall back"
+
+    def test_cli_worker_exits_when_the_run_ends(self):
+        """The server answers ``done`` before it closes, so a CLI
+        worker leaves within moments of the verdict, without walking
+        its reconnect backoff."""
+        name = "adopt-commit"
+        sc = _scenario(name)
+        run = _SocketRun(name, sc)
+        host, port = run.address
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "worker",
+             "--connect", f"{host}:{port}", "--name", "prompt"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            text=True)
+        try:
+            assert run.finish() == _serial(sc)
+            verdict_at = time.monotonic()
+            out, _ = proc.communicate(timeout=60)
+            exit_s = time.monotonic() - verdict_at
+        finally:
+            if proc.poll() is None:  # pragma: no cover - belt and braces
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 0
+        assert exit_s < 2.0, exit_s
+        (summary,) = [line for line in out.splitlines()
+                      if line.startswith("[worker]")]
+        assert ", 0 RPC retr(ies)," in summary, summary
 
     def test_coordinator_kill9_then_check_resume(self, tmp_path, capsys):
         """kill -9 the serve coordinator mid-journal; plain ``check

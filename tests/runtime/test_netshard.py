@@ -9,9 +9,13 @@ The live-socket behaviour is covered by the ``network`` differential
 tier in ``tests/properties/test_network_differential.py``.
 """
 
+import socket
+import threading
+
 import pytest
 
 from repro.runtime import lease as lease_mod
+from repro.runtime import wire
 from repro.runtime.explore import ExplorationStats
 from repro.runtime.frontier import stats_to_dict
 from repro.runtime.lease import LeaseTable
@@ -336,3 +340,33 @@ class TestMonotonicClockPin:
         with pytest.raises(Exception):
             worker._connect()  # nothing listens on port 1
         assert naps == [backoff_delay("pin", 0), backoff_delay("pin", 1)]
+
+
+class TestServerLoss:
+    def test_worker_backs_off_when_the_server_dies_without_done(self):
+        """A server killed -9 never says ``done``: the worker walks its
+        reconnect backoff, then ends the run quietly (ServerGone)."""
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        port = listener.getsockname()[1]
+
+        def welcome_then_die():
+            conn, _ = listener.accept()
+            wire.recv_frame(conn)
+            wire.send_frame(conn, {"type": "welcome", "worker_id": 0,
+                                   "config": {}})
+            listener.close()
+            conn.close()
+
+        server = threading.Thread(target=welcome_then_die)
+        server.start()
+        naps = []
+        worker = ShardWorker("127.0.0.1", port, name="orphan",
+                             connect_attempts=3, sleep=naps.append)
+        assert worker.run() == 0
+        server.join(timeout=10.0)
+        assert not server.is_alive()
+        assert worker.tallies["retries"] == 1
+        assert naps == [backoff_delay("orphan", 0),
+                        backoff_delay("orphan", 1)]

@@ -10,8 +10,8 @@ import os
 import pytest
 
 from repro.runtime import CounterexampleFound, explore, explore_dpor
-from repro.runtime.parallel import (explore_parallel, fork_available,
-                                    resolve_jobs, run_pool)
+from repro.runtime.netshard import fork_available, run_pool
+from repro.runtime.parallel import explore_parallel, resolve_jobs
 from repro.scenarios import ScenarioRef, build_scenario, check_scenarios
 
 
@@ -204,9 +204,9 @@ class TestWorkerFailureRecovery:
 class TestWedgedWorkerTeardown:
     """Bugfix regression: teardown of a worker that stops responding.
 
-    ``fault_plan={-1: "sigstop"}`` makes each worker SIGSTOP itself on
-    receipt of the shutdown sentinel -- the moment the old teardown
-    relied on SIGTERM alone.  A stopped process leaves SIGTERM pending
+    ``fault_plan={-1: "sigstop"}`` makes each worker SIGSTOP itself once
+    the server has told it ``done`` -- the moment teardown starts.  A
+    stopped process leaves SIGTERM pending
     forever, so the coordinator must escalate to SIGKILL and then
     *reap* the corpse with a final blocking join; skipping that join is
     exactly the zombie leak this class pins down.  ``_JOIN_TIMEOUT`` is
@@ -215,8 +215,8 @@ class TestWedgedWorkerTeardown:
 
     @pytest.fixture(autouse=True)
     def fast_escalation(self, monkeypatch):
-        import repro.runtime.parallel as par
-        monkeypatch.setattr(par, "_JOIN_TIMEOUT", 0.2)
+        import repro.runtime.netshard as pool
+        monkeypatch.setattr(pool, "_JOIN_TIMEOUT", 0.2)
 
     @staticmethod
     def _leaked_children():
@@ -265,8 +265,8 @@ class TestRetryLadder:
         # succeeding only from the second retry on: a single
         # re-execution would surface an error, the capped-backoff
         # ladder must not.  Backoff is zeroed so the test stays fast.
-        from repro.runtime import parallel
-        monkeypatch.setattr(parallel, "_RETRY_BACKOFF_BASE", 0.0)
+        from repro.runtime import netshard
+        monkeypatch.setattr(netshard, "_RETRY_BACKOFF_BASE", 0.0)
         outcomes = run_pool([1, 2], _square, jobs=2,
                             fault_plan={0: "flaky"})
         assert outcomes == [(1, None), (4, None)]
@@ -280,8 +280,8 @@ class TestRetryLadder:
         # deadline.
         from time import monotonic
 
-        from repro.runtime import parallel
-        monkeypatch.setattr(parallel, "_RETRY_BACKOFF_BASE", 30.0)
+        from repro.runtime import netshard
+        monkeypatch.setattr(netshard, "_RETRY_BACKOFF_BASE", 30.0)
         start = monotonic()
         outcomes = run_pool([1, 2], _square, jobs=2,
                             fault_plan={0: "flaky"},
@@ -297,9 +297,9 @@ class TestRetryLadder:
         # backoff first.
         from time import monotonic
 
-        from repro.runtime import parallel
+        from repro.runtime import netshard
         from repro.runtime.explore import ExplorationInterrupted
-        monkeypatch.setattr(parallel, "_RETRY_BACKOFF_BASE", 30.0)
+        monkeypatch.setattr(netshard, "_RETRY_BACKOFF_BASE", 30.0)
         start = monotonic()
         with pytest.raises(ExplorationInterrupted) as excinfo:
             run_pool([1, 2], _square, jobs=2,
@@ -322,10 +322,10 @@ class TestLeaseRecovery:
 
     @pytest.fixture(autouse=True)
     def fast_leases(self, monkeypatch):
-        from repro.runtime import parallel
-        monkeypatch.setattr(parallel, "_LEASE_TIMEOUT", 0.5)
-        monkeypatch.setattr(parallel, "_HEARTBEAT_INTERVAL", 0.1)
-        monkeypatch.setattr(parallel, "_JOIN_TIMEOUT", 0.2)
+        from repro.runtime import netshard
+        monkeypatch.setattr(netshard, "_LEASE_TIMEOUT", 0.5)
+        monkeypatch.setattr(netshard, "_HEARTBEAT_INTERVAL", 0.1)
+        monkeypatch.setattr(netshard, "_JOIN_TIMEOUT", 0.2)
 
     def test_stopped_worker_task_is_regranted_to_a_live_one(self):
         grants = []
@@ -343,6 +343,13 @@ class TestLeaseRecovery:
         # stopped holder (which never reports).
         executed = [entry for entry in task_log if entry["index"] == 0]
         assert len(executed) == 1
+
+    def test_fully_wedged_pool_falls_back_in_process(self):
+        # Every worker wedges holding a task: no live worker is left to
+        # take the lapsed tasks, so the coordinator must run them.
+        outcomes = run_pool([1, 2, 3], _square, jobs=2,
+                            fault_plan={0: "sigstop", 1: "sigstop"})
+        assert outcomes == [(1, None), (4, None), (9, None)]
 
     def test_heartbeats_keep_a_slow_task_leased(self):
         # A healthy-but-slow task must NOT be re-granted: its worker's
