@@ -38,7 +38,8 @@ from typing import Any, Dict, Iterable, List, Optional
 #: v2 added ``partial`` / ``interrupt_reason`` (graceful degradation
 #: under ``--timeout`` / ``--max-runs`` budgets, see
 #: ``docs/fault_injection.md``).  v3 added ``cache_hits`` /
-#: ``cache_skipped_runs`` (the DPOR state cache, see
+#: ``cache_skipped_runs`` (the DPOR state cache; retired with the cache,
+#: the keys stay in the record and always read 0, see
 #: ``docs/performance.md``).  v4 added ``net`` (socket-transport
 #: frame/retry/reconnect tallies from ``python -m repro serve``, see
 #: ``docs/distributed_exploration.md``).
@@ -53,9 +54,9 @@ PHASES = ("frontier_expansion", "shard_execution", "merge", "shrink")
 #: and worker-topology facts, which legitimately differ between runs of
 #: the same exploration (``jobs`` included -- it is the knob under test
 #: in the jobs=1 vs jobs=N differential).
-#: ``cache_hits`` / ``cache_skipped_runs`` are stripped too: the state
-#: cache is per shard (to keep merged ExplorationStats jobs-invariant),
-#: so its hit counts depend on the shard topology, i.e. on ``jobs``.
+#: ``cache_hits`` / ``cache_skipped_runs`` (retired, always 0) are
+#: stripped too, as they were when the per-shard state cache made them
+#: depend on the shard topology.
 #: ``net`` is stripped for the same reason: which worker served which
 #: shard over which connection (and how many frames or retries that
 #: took) is transport topology, never exploration content -- the
@@ -217,6 +218,8 @@ class ExplorationMetrics:
         self.peak_frontier_size = 0
         self.sleep_set_hits = 0
         self.sleep_set_checks = 0
+        # Retired with the DPOR state cache: always 0, kept so the v4
+        # record keeps its key set.
         self.cache_hits = 0
         self.cache_skipped_runs = 0
         self.ddmin_replays = 0
@@ -247,8 +250,6 @@ class ExplorationMetrics:
             return
         self.sleep_set_hits += counters.get("sleep_hits", 0)
         self.sleep_set_checks += counters.get("sleep_checks", 0)
-        self.cache_hits += counters.get("cache_hits", 0)
-        self.cache_skipped_runs += counters.get("cache_skipped_runs", 0)
         self.ddmin_replays += counters.get("ddmin_replays", 0)
         self.peak_frontier_size = max(self.peak_frontier_size,
                                       counters.get("peak_frontier", 0))

@@ -194,10 +194,10 @@ class SharedObject(ABC):
     FOOTPRINT_PURE: bool = True
 
     def fingerprint_state(self) -> dict:
-        """Location -> value map hashed into the DPOR state fingerprint.
+        """Location -> value map hashed into the state fingerprint.
 
         Defaults to :meth:`audit_state` -- the audited view *is* the
-        semantically observable state, so the state cache
+        semantically observable state, so the fingerprinter
         (:mod:`repro.runtime.fingerprint`) reuses it.  Override only
         when an object carries run-relevant state the audit view elides;
         entries equal to :meth:`audit_default` are normalised away, so

@@ -22,9 +22,6 @@ catches every one of them:
 * ``sweep``    -- the generative corollary sweep
   (:mod:`repro.generative`) cross-checks synthesized configurations
   against the solvability oracle and flags the disagreement;
-* ``cache``    -- the state-cache differential (cache-on vs cache-off
-  DPOR, see ``docs/performance.md``) detects an unsound fingerprint by
-  the divergence of its deterministic exploration outcome;
 * ``resume``   -- the checkpoint/resume differential (interrupted vs
   uninterrupted exploration, see ``docs/resumable_exploration.md``)
   detects an unsound frontier-store resume by the divergence of the
@@ -53,8 +50,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 #: Detection stages, in the order the harness consults them.
-STAGES = ("lint", "explore", "check", "audit", "sweep", "cache",
-          "resume", "network")
+STAGES = ("lint", "explore", "check", "audit", "sweep", "resume",
+          "network")
 
 
 @dataclass(frozen=True)
@@ -537,94 +534,6 @@ def _footprint_drop_write() -> Optional[str]:
 
 
 # ---------------------------------------------------------------------------
-# fingerprint mutant (the state cache's own soundness)
-# ---------------------------------------------------------------------------
-
-def _cache_scenario():
-    """A register scenario that is decided by shared state the mutant
-    fingerprint ignores.  Two writers race on cell 0; once both have
-    decided, the two write orders leave states that differ *only* in
-    cell 0's audited value (same continuations, decisions, and step
-    count).  A third process then reads the cell and decides what it
-    saw, and the property rejects exactly one of the two read values --
-    so folding the two states together skips the violating subtree."""
-    from .memory import build_store, make_spec
-    from .runtime import ObjectProxy, wait_until
-
-    r = ObjectProxy("r")
-    done = ObjectProxy("done")
-
-    def build():
-        store = build_store([make_spec("register_array", "r", size=1),
-                             make_spec("register_array", "done", size=2)])
-
-        def writer(pid, value):
-            yield r.write(0, value)
-            yield done.write(pid, 1)
-
-        def reader():
-            yield from wait_until(lambda: done.read(0),
-                                  lambda v: v == 1)
-            yield from wait_until(lambda: done.read(1),
-                                  lambda v: v == 1)
-            value = yield r.read(0)
-            return value
-
-        return {0: writer(0, 1), 1: writer(1, 2), 2: reader()}, store
-
-    def check(result) -> None:
-        assert result.decisions.get(2) != 1, "reader saw loser value"
-
-    return build, check
-
-
-def _cache_outcome(state_cache, fingerprinter=None):
-    """Deterministic exploration outcome of the cache mutant scenario
-    under one cache configuration."""
-    from .runtime import CounterexampleFound
-    from .runtime.dpor import explore_dpor
-
-    build, check = _cache_scenario()
-    try:
-        stats = explore_dpor(build, check, max_steps=12, shrink=False,
-                             state_cache=state_cache,
-                             fingerprinter=fingerprinter)
-    except CounterexampleFound as exc:
-        stats = exc.stats
-        return ("violation", stats.total_runs
-                if stats is not None else None)
-    return ("passed", stats.total_runs, stats.complete_runs,
-            stats.truncated_runs, stats.pruned_runs,
-            stats.max_depth_seen)
-
-
-def _fingerprint_ignore_field() -> Optional[str]:
-    """The state fingerprint silently drops one shared field: the first
-    audited entry of every object (cell 0 of the register above, once
-    written).  States that differ only in that field then collide, the
-    cache folds a subtree recorded under a *different* cell-0 value,
-    and the deterministic exploration outcome diverges from cache-off
-    -- which is exactly what the ``cache`` differential stage compares.
-    No other stage consults fingerprints, so only it can catch this.
-    """
-    from .runtime import Fingerprinter
-
-    class IgnoreFieldFingerprinter(Fingerprinter):
-        """MUTANT: drops the first audited field of every object."""
-
-        def object_fingerprint(self, obj):
-            kind, items = super().object_fingerprint(obj)
-            return (kind, items[1:])
-
-    reference = _cache_outcome(state_cache=False)
-    mutated = _cache_outcome(state_cache=True,
-                             fingerprinter=IgnoreFieldFingerprinter())
-    if mutated != reference:
-        return "cache"
-    return None
-
-
-# ---------------------------------------------------------------------------
 # oracle mutant (the generative sweep's own soundness)
 # ---------------------------------------------------------------------------
 
@@ -823,10 +732,6 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant("oracle-ceil-index",
            "solvability oracle computes ceil(t/x) instead of floor(t/x)",
            "sweep", _oracle_ceil_index),
-    Mutant("fingerprint-ignore-field",
-           "state fingerprint skips one shared field, merging distinct "
-           "states",
-           "cache", _fingerprint_ignore_field),
     Mutant("resume-drop-completed-shard",
            "frontier resume re-grants a shard the journal already "
            "settled, double-merging its statistics",

@@ -77,7 +77,7 @@ class CrashPoint:
         self._matches_seen = 0
 
     def fingerprint_state(self) -> tuple:
-        """Configuration plus mutable trigger state, for the DPOR state
+        """Configuration plus mutable trigger state, for the state
         fingerprint (:mod:`repro.runtime.fingerprint`): two system
         states whose crash points have seen different match counts must
         never share a fingerprint."""

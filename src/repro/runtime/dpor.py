@@ -24,18 +24,6 @@ stateless model-checking devices:
   explored from this state, and which is independent of everything
   executed since, need not be re-scheduled -- subtrees whose every
   candidate sleeps are pruned outright.
-* **State caching** (stateful DPOR): every state reached during the
-  search is fingerprinted canonically
-  (:class:`repro.runtime.fingerprint.Fingerprinter`); when the search
-  reaches a state it has already fully expanded under a subsumed sleep
-  set and an equal-or-larger depth budget -- and skipping would be
-  provably *observationally identical* to re-exploring (see
-  :func:`_plants_are_noops`) -- the subtree is folded from the cache
-  instead of re-executed.  The hit rule is deliberately exact: a hit is
-  taken only when cache-on and cache-off provably visit the same
-  terminal states, find the same first violation, and shrink to the
-  same counterexample; declining a hit merely re-explores, which is
-  always sound.  ``docs/performance.md`` develops the full argument.
 
 Independence is decided by the read/write *footprints* that every shared
 object reports for its operations (:class:`repro.runtime.ops.Footprint`,
@@ -62,7 +50,7 @@ plans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Generator, List, Optional,
                     Sequence, Set, Tuple)
 
@@ -70,7 +58,6 @@ from .adversary import Adversary
 from .crash import CrashPlan
 from .explore import (ExplorationStats, ShardViolation, _max_runs_interrupt,
                       _past_deadline, _timeout_interrupt)
-from .fingerprint import Fingerprinter
 from .ops import EMPTY_FOOTPRINT, Footprint, Invocation, SpinOp, conflicts
 from .process import ProcessHandle, ProcessStatus
 from .run import RunResult
@@ -100,8 +87,7 @@ class _System:
     of one exploration: footprints are pure functions of ``(pid, obj,
     method, args)`` for objects declaring
     :attr:`~repro.memory.base.SharedObject.FOOTPRINT_PURE` (the
-    default), so re-synced systems skip re-deriving them -- the per-step
-    footprint dict churn the state cache is paired with eliminating.
+    default), so re-synced systems skip re-deriving them.
     """
 
     def __init__(self, build: Builder,
@@ -432,8 +418,7 @@ class _Node:
     """
 
     __slots__ = ("in_pid", "in_fp", "in_clock", "cv_proc", "candidates",
-                 "pending_fps", "sleep", "backtrack", "done", "visited",
-                 "fpr", "snap", "sub_pairs", "sub_max", "fp_parts")
+                 "pending_fps", "sleep", "backtrack", "done", "visited")
 
     def __init__(self, in_pid, in_fp, in_clock, cv_proc, candidates,
                  pending_fps, sleep) -> None:
@@ -447,17 +432,6 @@ class _Node:
         self.backtrack: Set[int] = set()
         self.done: Set[int] = set()
         self.visited = False
-        # State-cache bookkeeping (unused when the cache is disabled):
-        # the state fingerprint, the statistics snapshot taken when this
-        # node was pushed, the (pid, footprint) race summary plus depth
-        # watermark accumulated over the node's explored subtree, and
-        # the (object-parts, process-heavy-parts) dicts children derive
-        # their own fingerprints from incrementally.
-        self.fpr: Optional[tuple] = None
-        self.snap: Optional[tuple] = None
-        self.sub_pairs: Optional[Set[tuple]] = None
-        self.sub_max: int = 0
-        self.fp_parts: Optional[tuple] = None
 
 
 def _make_node(sysm: _System, parent: Optional[_Node], pick: Optional[int],
@@ -522,197 +496,6 @@ def _work_remains(path: List[_Node]) -> bool:
         for node in path)
 
 
-# ---------------------------------------------------------------------------
-# The state cache (stateful DPOR).
-# ---------------------------------------------------------------------------
-
-class _CacheEntry:
-    """The recorded outcome of fully expanding one (state, sleep) node.
-
-    ``sleep`` / ``rem`` are the sleep set and remaining depth budget the
-    node was expanded under; a later arrival may reuse the entry only
-    with a *superset* sleep set and an *equal-or-smaller* remaining
-    budget, so the recorded subtree covers everything re-exploration
-    could visit.  Recorded entries are violation-free by construction
-    (a violation aborts the search before any ancestor pops), so
-    skipping never hides a counterexample; for a strictly-subsumed
-    reuse the folded run counts over-approximate what re-exploration
-    would have counted, which is why differential comparisons go
-    through ``ExplorationStats.deterministic_view`` rather than raw
-    counts.  ``complete`` / ``truncated`` / ``pruned`` are the
-    run-count deltas the subtree contributed; ``sleep_checks`` /
-    ``sleep_hits`` the metrics-counter deltas; ``pairs`` the (pid,
-    footprint) summary of every step candidate *strictly below* the
-    node, used by :func:`_plants_are_noops`; ``rel_max`` the subtree's
-    depth watermark relative to the node.
-    """
-
-    __slots__ = ("sleep", "rem", "complete", "truncated", "pruned",
-                 "sleep_checks", "sleep_hits", "pairs", "rel_max")
-
-    def __init__(self, sleep, rem, complete, truncated, pruned,
-                 sleep_checks, sleep_hits, pairs, rel_max) -> None:
-        self.sleep: frozenset = sleep
-        self.rem: int = rem
-        self.complete: int = complete
-        self.truncated: int = truncated
-        self.pruned: int = pruned
-        self.sleep_checks: int = sleep_checks
-        self.sleep_hits: int = sleep_hits
-        self.pairs: frozenset = pairs
-        self.rel_max: int = rel_max
-
-
-def _plants_are_noops(pairs, path: List[_Node], base: int) -> bool:
-    """Would replaying the cached subtree plant any backtrack point the
-    current path does not already semantically contain?
-
-    ``pairs`` summarizes every (pid, pending footprint) that occurred at
-    any state strictly inside the recorded subtree.  Race detection from
-    those states walks down into the shared path prefix; a hit is only
-    sound if every backtrack point such a walk could plant is already a
-    no-op -- the racer is already in the pre-state's ``backtrack``,
-    ``done``, or ``sleep`` set (planting a done/sleeping pid never
-    schedules anything: the DFS pick filters both out, and
-    :func:`_work_remains` ignores them).  The conservative branch of
-    :func:`_update_backtracks` (racer not schedulable at the pre-state)
-    plants *every* candidate, so all of them must be no-ops there.
-
-    This check makes the cache *exact* rather than merely sound: when it
-    passes, skipping the subtree leaves every backtrack set on the path
-    in a state equivalent to what cache-off re-exploration would have
-    produced, so the DFS continues identically.  When it fails the hit
-    is declined and the subtree re-explored -- never wrong, just slower.
-
-    Happens-before is deliberately ignored here (treated as "no edge"):
-    real vector clocks could only *suppress* plants, so checking every
-    conflicting pair over-approximates the plants cache-off could make.
-    """
-    depth = len(path) - 1
-    for p, f_p in pairs:
-        for j in range(depth, base, -1):
-            step = path[j]
-            if step.in_pid == p:
-                continue
-            if conflicts(step.in_fp, f_p):
-                pre = path[j - 1]
-                if p in pre.candidates:
-                    if (p not in pre.backtrack and p not in pre.done
-                            and p not in pre.sleep):
-                        return False
-                else:
-                    for c in pre.candidates:
-                        if (c not in pre.backtrack and c not in pre.done
-                                and c not in pre.sleep):
-                            return False
-    return True
-
-
-class _StateCache:
-    """Fingerprint -> fully-expanded-subtree cache for one exploration.
-
-    One cache per :func:`_explore_core` call (per shard, in parallel
-    mode), so ``jobs=1`` and ``jobs=N`` stay bit-for-bit identical: a
-    shard never sees hits against a sibling's subtrees.  Buckets hold
-    one entry per distinct (sleep, rem) expansion of a state; lookups
-    scan for the first reusable entry (see :class:`_CacheEntry` and
-    :func:`_plants_are_noops` for the exactness argument).
-    """
-
-    __slots__ = ("fingerprinter", "entries", "hits", "skipped_runs",
-                 "_full_override")
-
-    def __init__(self, fingerprinter: Optional[Fingerprinter] = None
-                 ) -> None:
-        self.fingerprinter = (fingerprinter if fingerprinter is not None
-                              else Fingerprinter())
-        self.entries: Dict[tuple, List[_CacheEntry]] = {}
-        self.hits = 0
-        self.skipped_runs = 0
-        # A subclass overriding the whole-system ``fingerprint`` (e.g. a
-        # deliberately-colliding test stub) must see every state: the
-        # incremental part-reuse path below would silently bypass it.
-        self._full_override = (type(self.fingerprinter).fingerprint
-                               is not Fingerprinter.fingerprint)
-
-    def fingerprint(self, sysm: _System) -> tuple:
-        """Canonical fingerprint of the system's current state."""
-        return self.fingerprinter.fingerprint(sysm)
-
-    def fingerprint_node(self, sysm: _System, parent: Optional[_Node],
-                         pick: Optional[int],
-                         step_fp: Optional[Footprint]
-                         ) -> Tuple[tuple, tuple]:
-        """Fingerprint the state reached by executing ``pick`` (with
-        declared footprint ``step_fp``) from ``parent``, incrementally.
-
-        One step can change only the stepping process's heavy part and
-        the audited state of objects its footprint *writes* (an
-        undeclared write would already be a DPOR-soundness bug: race
-        detection relies on the same declaration); everything volatile
-        -- spin counters, plan state, the step counter -- is read fresh
-        by :meth:`Fingerprinter.assemble`.  Per-object granularity is by
-        *name*, so Byzantine rewrites (which preserve the target object)
-        and ``WHOLE``-key footprints are covered.  ``step_fp is None``
-        (unknown footprint) falls back to recomputing every object.
-
-        Returns ``(fingerprint, (obj_parts, heavy))``; the parts are
-        stored on the node and shared structurally with children, which
-        copy before mutating.
-        """
-        f = self.fingerprinter
-        if self._full_override:
-            return f.fingerprint(sysm), None
-        parts = parent.fp_parts if parent is not None else None
-        if parts is None:
-            obj_parts = f.object_parts(sysm)
-            heavy = f.heavy_parts(sysm)
-        else:
-            p_objs, p_heavy = parts
-            if step_fp is None:
-                obj_parts = f.object_parts(sysm)
-            else:
-                written = {loc[0] for loc in step_fp.writes}
-                if written:
-                    obj_parts = dict(p_objs)
-                    store = sysm.store
-                    for name in written:
-                        obj_parts[name] = f.object_fingerprint(
-                            store[name])
-                else:
-                    obj_parts = p_objs  # shared; children copy on write
-            heavy = dict(p_heavy)
-            heavy[pick] = f.process_heavy(sysm.handles[pick])
-        return f.assemble(sysm, obj_parts, heavy), (obj_parts, heavy)
-
-    def record(self, fpr: tuple, sleep: frozenset, rem: int,
-               complete: int, truncated: int, pruned: int,
-               sleep_checks: int, sleep_hits: int,
-               pairs: frozenset, rel_max: int) -> None:
-        """Store the expansion outcome of one popped node."""
-        bucket = self.entries.setdefault(fpr, [])
-        for entry in bucket:
-            if entry.sleep == sleep and entry.rem == rem:
-                return  # an identical expansion is already recorded
-        bucket.append(_CacheEntry(sleep, rem, complete, truncated,
-                                  pruned, sleep_checks, sleep_hits,
-                                  pairs, rel_max))
-
-    def lookup(self, fpr: tuple, sleep: Set[int], rem: int,
-               path: List[_Node], base: int) -> Optional[_CacheEntry]:
-        """First entry whose reuse here is provably exact, else None."""
-        bucket = self.entries.get(fpr)
-        if not bucket:
-            return None
-        for entry in bucket:
-            if (entry.rem >= rem and entry.sleep.issubset(sleep)
-                    and _plants_are_noops(entry.pairs, path, base)):
-                self.hits += 1
-                self.skipped_runs += entry.complete + entry.truncated
-                return entry
-        return None
-
-
 def _explore_core(build: Builder,
                   check: Callable[[RunResult], None],
                   crash_plan_factory: Optional[Callable[[], CrashPlan]]
@@ -724,9 +507,7 @@ def _explore_core(build: Builder,
                   root_sleep: Sequence[int] = (),
                   collect: bool = False,
                   counters: Optional[Dict[str, Any]] = None,
-                  deadline: Optional[float] = None,
-                  state_cache: bool = True,
-                  fingerprinter: Optional[Fingerprinter] = None
+                  deadline: Optional[float] = None
                   ) -> ExplorationStats:
     """DPOR exploration of the subtree rooted at ``prefix``.
 
@@ -747,21 +528,11 @@ def _explore_core(build: Builder,
 
     ``counters`` is an optional plain-dict metrics channel (plain
     data, so shard workers can ship it back in a frame): sleep-set
-    hit accounting, cache hit/skip counts, ddmin replay counts, and
-    shrink wall-clock go there, never into ``ExplorationStats`` --
-    collecting metrics cannot perturb the deterministic statistics
-    contract.
-
-    ``state_cache`` enables the prefix-equivalence cache
-    (:class:`_StateCache`, default on): subtrees rooted at an
-    already-expanded (fingerprint, subsumed-sleep-set) state are folded
-    from the cache instead of re-executed.  ``fingerprinter`` overrides
-    the canonical :class:`~repro.runtime.fingerprint.Fingerprinter`
-    (tests inject deliberately-colliding stubs to prove the
-    differential tier catches unsound caching).
+    hit accounting, ddmin replay counts, and shrink wall-clock go
+    there, never into ``ExplorationStats`` -- collecting metrics cannot
+    perturb the deterministic statistics contract.
     """
     stats = ExplorationStats()
-    cache = _StateCache(fingerprinter) if state_cache else None
     fp_memo: Dict[Any, Optional[Footprint]] = {}
     sysm = _System(build, crash_plan_factory, fp_memo)
     path: List[_Node] = [_make_node(sysm, None, None, None, [], set())]
@@ -778,31 +549,7 @@ def _explore_core(build: Builder,
         path.append(child)
     base = len(path) - 1
     path[-1].sleep = set(root_sleep)
-    if cache is not None:
-        for d, node in enumerate(path):
-            node.sub_pairs = set()
-            node.sub_max = d
-        if not cache._full_override:
-            path[-1].fp_parts = (cache.fingerprinter.object_parts(sysm),
-                                 cache.fingerprinter.heavy_parts(sysm))
     synced = True
-
-    def counter_snapshot() -> Tuple[int, int]:
-        if counters is None:
-            return (0, 0)
-        return (counters.get("sleep_checks", 0),
-                counters.get("sleep_hits", 0))
-
-    def fold_into_parent(child: _Node, pairs, sub_max: int) -> None:
-        # The parent's subtree summary gains the popped/skipped child's
-        # descendants plus the child's own step candidates (the child is
-        # a strict descendant of the parent).
-        parent = path[-1]
-        parent.sub_pairs.update(pairs)
-        for p in child.candidates:
-            parent.sub_pairs.add((p, child.pending_fps.get(p)))
-        if sub_max > parent.sub_max:
-            parent.sub_max = sub_max
 
     def check_budget() -> None:
         if stats.total_runs >= max_runs and _work_remains(path[base:]):
@@ -811,68 +558,9 @@ def _explore_core(build: Builder,
             raise _timeout_interrupt(stats)
 
     def pop_top() -> None:
-        # Pop the fully-processed top node; with the cache enabled,
-        # record its expansion as a cache entry and fold its subtree
-        # summary into its parent.
         nonlocal synced
-        child = path.pop()
-        synced = False
-        if cache is None:
-            return
-        d = len(path)  # the popped node's depth
-        if d <= base:
-            return
-        snap = child.snap
-        c_checks, c_hits = counter_snapshot()
-        cache.record(
-            child.fpr, frozenset(child.sleep), max_steps - d,
-            stats.complete_runs - snap[0],
-            stats.truncated_runs - snap[1],
-            stats.pruned_runs - snap[2],
-            c_checks - snap[3], c_hits - snap[4],
-            frozenset(child.sub_pairs), child.sub_max - d)
-        fold_into_parent(child, child.sub_pairs, child.sub_max)
-
-    def try_cache(child: _Node, parent: _Node, pick: int,
-                  step_fp: Optional[Footprint]) -> bool:
-        # Fingerprint the just-pushed node; either skip its whole
-        # subtree via a cached entry (folding the entry's recorded
-        # statistics) or arm the node for recording at pop time.  Runs
-        # *after* _update_backtracks, so the node's own step candidates
-        # have planted their races exactly as cache-off would.
-        nonlocal synced
-        d = len(path) - 1
-        child.sub_pairs = set()
-        child.sub_max = d
-        child.fpr, child.fp_parts = cache.fingerprint_node(
-            sysm, parent, pick, step_fp)
-        child.snap = ((stats.complete_runs, stats.truncated_runs,
-                       stats.pruned_runs) + counter_snapshot())
-        entry = cache.lookup(child.fpr, child.sleep, max_steps - d,
-                             path, base)
-        if entry is None:
-            return False
-        stats.complete_runs += entry.complete
-        stats.truncated_runs += entry.truncated
-        stats.pruned_runs += entry.pruned
-        reach = min(d + entry.rel_max, max_steps)
-        if reach > stats.max_depth_seen:
-            stats.max_depth_seen = reach
-        if counters is not None:
-            counters["sleep_checks"] = (counters.get("sleep_checks", 0)
-                                        + entry.sleep_checks)
-            counters["sleep_hits"] = (counters.get("sleep_hits", 0)
-                                      + entry.sleep_hits)
-            counters["cache_hits"] = counters.get("cache_hits", 0) + 1
-            counters["cache_skipped_runs"] = (
-                counters.get("cache_skipped_runs", 0)
-                + entry.complete + entry.truncated)
         path.pop()
         synced = False
-        fold_into_parent(child, entry.pairs,
-                         min(d + entry.rel_max, max_steps))
-        check_budget()
-        return True
 
     while len(path) > base:
         node = path[-1]
@@ -964,8 +652,6 @@ def _explore_core(build: Builder,
         child = _make_node(sysm, node, pick, fp, path, child_sleep)
         path.append(child)
         _update_backtracks(path)
-        if cache is not None:
-            try_cache(child, node, pick, fp)
     return stats
 
 
@@ -979,9 +665,7 @@ def explore_dpor(build: Builder,
                  jobs=None,
                  prefix_factor: Optional[int] = None,
                  metrics: Optional[Any] = None,
-                 deadline: Optional[float] = None,
-                 state_cache: bool = True,
-                 fingerprinter: Optional[Fingerprinter] = None
+                 deadline: Optional[float] = None
                  ) -> ExplorationStats:
     """Explore one representative schedule per Mazurkiewicz trace.
 
@@ -1015,13 +699,6 @@ def explore_dpor(build: Builder,
     crossing it raises
     :class:`~repro.runtime.explore.ExplorationInterrupted` with the
     partial statistics.
-
-    ``state_cache`` (default on) enables the prefix-equivalence state
-    cache; ``--no-state-cache`` on the CLI and ``state_cache=False``
-    here turn it off (the escape hatch the differential test tier
-    compares against).  ``fingerprinter`` injects a custom
-    :class:`~repro.runtime.fingerprint.Fingerprinter` (serial engine
-    only -- custom fingerprinters do not cross the worker boundary).
     """
     if jobs is not None:
         from .parallel import DEFAULT_PREFIX_FACTOR, explore_parallel
@@ -1030,15 +707,12 @@ def explore_dpor(build: Builder,
             max_steps=max_steps, max_runs=max_runs, jobs=jobs,
             reduction="dpor", shrink=shrink,
             prefix_factor=prefix_factor or DEFAULT_PREFIX_FACTOR,
-            metrics=metrics, deadline=deadline,
-            state_cache=state_cache)
+            metrics=metrics, deadline=deadline)
     if metrics is None:
         return _explore_core(build, check,
                              crash_plan_factory=crash_plan_factory,
                              max_steps=max_steps, max_runs=max_runs,
-                             shrink=shrink, deadline=deadline,
-                             state_cache=state_cache,
-                             fingerprinter=fingerprinter)
+                             shrink=shrink, deadline=deadline)
     from time import perf_counter
     counters: Dict[str, Any] = {}
     start = perf_counter()
@@ -1047,9 +721,7 @@ def explore_dpor(build: Builder,
                               crash_plan_factory=crash_plan_factory,
                               max_steps=max_steps, max_runs=max_runs,
                               shrink=shrink, counters=counters,
-                              deadline=deadline,
-                              state_cache=state_cache,
-                              fingerprinter=fingerprinter)
+                              deadline=deadline)
     finally:
         # A serial run is one shard; shrink time was split out into the
         # counters channel, so keep the shard phase to the search proper.

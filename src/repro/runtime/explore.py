@@ -150,21 +150,6 @@ class ExplorationStats:
             violation=violation,
         )
 
-    def deterministic_view(self) -> Tuple[bool, Optional["ShardViolation"]]:
-        """The cache-independent projection of these statistics.
-
-        The DPOR state cache (:mod:`repro.runtime.dpor`) guarantees
-        *observational* equivalence, not count equivalence: a cache hit
-        whose entry was recorded under a strictly smaller sleep set
-        folds run counts for schedules a cache-off walk would have
-        sleep-pruned, so raw counts may differ between cache-on and
-        cache-off.  What can never differ is whether a violation was
-        found and which violation it is (first in DFS order).  The
-        differential test tier compares this projection; the raw counts
-        are additionally compared on exact-match-only workloads.
-        """
-        return (self.violation is not None, self.violation)
-
     @property
     def reduction_ratio(self) -> float:
         """Explored fraction of (explored + provably pruned) branches.
@@ -340,7 +325,6 @@ def explore(build: Callable[[], Tuple[Dict[int, Generator], Any]],
             prefix_factor: Optional[int] = None,
             metrics: Optional[Any] = None,
             timeout: Optional[float] = None,
-            state_cache: bool = True,
             frontier: Optional[Any] = None) -> ExplorationStats:
     """Exhaustively check every schedule of the system built by ``build``.
 
@@ -383,10 +367,6 @@ def explore(build: Callable[[], Tuple[Dict[int, Generator], Any]],
     :class:`ExplorationInterrupted` carrying the partial statistics and
     the triggering reason, instead of discarding the work done so far.
 
-    ``state_cache`` (default on) enables the DPOR prefix-equivalence
-    state cache (see ``docs/performance.md``); it is ignored by the
-    naive engine.  The CLI exposes it as ``check --no-state-cache``.
-
     ``frontier`` is an optional
     :class:`repro.runtime.frontier.FrontierStore` making the
     exploration durable and resumable (see
@@ -410,15 +390,13 @@ def explore(build: Callable[[], Tuple[Dict[int, Generator], Any]],
             max_steps=max_steps, max_runs=max_runs, jobs=jobs,
             reduction=reduction,
             prefix_factor=prefix_factor or DEFAULT_PREFIX_FACTOR,
-            metrics=metrics, deadline=deadline,
-            state_cache=state_cache, frontier=frontier)
+            metrics=metrics, deadline=deadline, frontier=frontier)
     if reduction == "dpor":
         from .dpor import explore_dpor
         return explore_dpor(build, check,
                             crash_plan_factory=crash_plan_factory,
                             max_steps=max_steps, max_runs=max_runs,
-                            metrics=metrics, deadline=deadline,
-                            state_cache=state_cache)
+                            metrics=metrics, deadline=deadline)
     if metrics is None:
         return _explore_naive(build, check, crash_plan_factory,
                               max_steps, max_runs, deadline=deadline)

@@ -1,25 +1,23 @@
-"""Canonical state fingerprinting for the stateful-DPOR prefix cache.
+"""Canonical state fingerprinting of a live system.
 
-The DPOR explorer (:mod:`repro.runtime.dpor`) re-executes a schedule
-prefix from scratch every time it backtracks, and explores every
-representative the persistent-set over-approximation plants even when
-two representatives reach the *same* concrete state.  A
-:class:`Fingerprinter` turns the complete observable state of a live
+A :class:`Fingerprinter` turns the complete observable state of a live
 system -- every shared object's audited state, every process's
 continuation point, the scheduler step counter, and the mutable state of
-any crash/fault plan -- into a stable, hashable *canonical form*, so the
-explorer can recognise "I have fully expanded this state before" and
-skip the redundant subtree (see ``_StateCache`` in
-:mod:`repro.runtime.dpor` and ``docs/performance.md``).
+any crash/fault plan -- into a stable, hashable *canonical form*: two
+systems with equal fingerprints are in the same state.
+
+The DPOR explorer (:mod:`repro.runtime.dpor`) is stateless and does
+not fingerprint (``docs/performance.md`` says why).  The class and the
+``fingerprint_state`` hooks remain as a standalone utility whose
+methods the benchmark's traced pass still wraps.
 
 Soundness contract
 ------------------
 
 A fingerprint collision (two distinct states with equal fingerprints)
-would silently merge genuinely different behaviours and can drop
-counterexamples; a fingerprint *split* (one state fingerprinted two
-ways) only costs a cache miss.  Canonicalisation is therefore biased
-hard toward splitting:
+would silently merge genuinely different behaviours; a fingerprint
+*split* (one state fingerprinted two ways) only costs a missed match.
+Canonicalisation is therefore biased hard toward splitting:
 
 * every recognised value kind canonicalises structurally (dicts and
   sets are sorted, so insertion order never matters);
@@ -93,12 +91,10 @@ def _atomic_tree(value: Any) -> bool:
 class Fingerprinter:
     """Computes canonical, collision-averse state fingerprints.
 
-    One instance backs one exploration call (its opaque-token table and
-    the identity of the tokens it mints are meaningful only within a
-    single cache).  Subclass and override :meth:`object_fingerprint` to
-    experiment with coarser object views -- the planted mutant
-    ``fingerprint-ignore-field`` (:mod:`repro.mutants`) does exactly
-    that, and the ``cache`` differential tier exists to catch it.
+    Fingerprints are comparable only between calls on one instance (its
+    opaque-token table and the identity of the tokens it mints are
+    meaningful only within it).  Subclass and override
+    :meth:`object_fingerprint` to experiment with coarser object views.
     """
 
     def __init__(self) -> None:

@@ -245,9 +245,12 @@ class FrontierStore:
         """Reject a resume whose configuration differs from the header.
 
         Compares key-by-key (both directions) so the error names every
-        differing parameter, not just the first.
+        differing parameter, not just the first.  Stores written while
+        the DPOR state cache existed carry a ``state_cache`` key; it is
+        ignored, since the cache never changed a shard's result.
         """
-        stored = self.fingerprint or {}
+        stored = dict(self.fingerprint or {})
+        stored.pop("state_cache", None)
         mismatched = {
             key: (stored.get(key), fingerprint.get(key))
             for key in set(stored) | set(fingerprint)

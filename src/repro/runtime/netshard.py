@@ -1026,8 +1026,7 @@ class ShardWorker:
             sleep=frozenset(grant["sleep"]),
             max_steps=config.get("max_steps", 24),
             max_runs=config.get("max_runs", 200_000),
-            reduction=config.get("reduction", "dpor"),
-            state_cache=config.get("state_cache", True))
+            reduction=config.get("reduction", "dpor"))
 
     def _execute(self, grant: Dict[str, Any]) -> None:
         shard = grant["shard"]

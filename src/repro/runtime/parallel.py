@@ -203,7 +203,6 @@ def execute_shard(build: Builder,
                   max_steps: int = 24,
                   max_runs: int = 200_000,
                   reduction: str = "dpor",
-                  state_cache: bool = True,
                   deadline: Optional[float] = None):
     """Explore one frontier shard; the unit of work every venue runs.
 
@@ -223,8 +222,7 @@ def execute_shard(build: Builder,
                 build, check, crash_plan_factory=crash_plan_factory,
                 max_steps=max_steps, max_runs=max_runs, prefix=prefix,
                 root_sleep=sleep, collect=True,
-                counters=shard_counters, deadline=deadline,
-                state_cache=state_cache)
+                counters=shard_counters, deadline=deadline)
         else:
             shard_stats = _explore_naive(build, check,
                                          crash_plan_factory, max_steps,
@@ -256,7 +254,6 @@ def explore_parallel(build: Optional[Builder] = None,
                      fault_plan: Optional[Dict[int, str]] = None,
                      metrics: Optional[Any] = None,
                      deadline: Optional[float] = None,
-                     state_cache: bool = True,
                      frontier: Optional[Any] = None,
                      pool: Optional[Callable[..., List[Any]]] = None
                      ) -> ExplorationStats:
@@ -291,12 +288,6 @@ def explore_parallel(build: Optional[Builder] = None,
     statistics merged from the frontier and every shard that reported
     back, so the caller can emit a partial record instead of losing the
     coverage already paid for.
-
-    ``state_cache`` (DPOR only) enables each shard's prefix-equivalence
-    state cache.  Caches are strictly *per shard* -- a worker never sees
-    hits against a sibling shard's subtrees -- so shard statistics, and
-    therefore the merged result, stay identical for ``jobs=1`` and
-    ``jobs=N`` with the cache on exactly as with it off.
 
     ``frontier`` is an optional
     :class:`repro.runtime.frontier.FrontierStore`.  When given, the
@@ -349,7 +340,6 @@ def explore_parallel(build: Optional[Builder] = None,
         "max_runs": max_runs,
         "reduction": reduction,
         "prefix_factor": prefix_factor,
-        "state_cache": bool(state_cache),
     }
     phase_start = perf_counter()
     prior_completed: Dict[int, Tuple[ExplorationStats, Dict[str, Any]]] = {}
@@ -399,8 +389,7 @@ def explore_parallel(build: Optional[Builder] = None,
         b, c, cpf = shard_context()
         return execute_shard(b, c, cpf, prefix=prefix, sleep=sleep,
                              max_steps=max_steps, max_runs=max_runs,
-                             reduction=reduction,
-                             state_cache=state_cache, deadline=deadline)
+                             reduction=reduction, deadline=deadline)
 
     def fold_counters(shard_counters: Dict[str, Any]) -> None:
         if counters is None:

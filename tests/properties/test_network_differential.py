@@ -64,7 +64,7 @@ class _SocketRun:
         max_runs = max_runs or sc.max_runs
         config = {"scenario": name, "n": n, "x": 2,
                   "max_steps": sc.max_steps, "max_runs": max_runs,
-                  "reduction": "dpor", "state_cache": True}
+                  "reduction": "dpor"}
         self._ready = threading.Event()
         self._addr = {}
 

@@ -17,6 +17,7 @@ from repro.runtime import (CounterexampleFound, CrashPlan, ObjectProxy,
                            explore, explore_dpor, replay_schedule,
                            shrink_schedule)
 from repro.runtime.ops import (EMPTY_FOOTPRINT, WHOLE, Footprint, conflicts)
+from repro.scenarios import check_scenarios
 
 
 # ---------------------------------------------------------------------------
@@ -322,4 +323,51 @@ class TestShrinking:
                          max_steps=12, shrink=False)
         ce = info.value.counterexample
         assert ce.prefix == ce.original_schedule
+        assert ce.reproduces()
+
+
+# ---------------------------------------------------------------------------
+# pinned engine counts on the scenario registry
+# ---------------------------------------------------------------------------
+
+#: Serial DPOR statistics per registry scenario, as (complete,
+#: truncated, max depth, pruned).  Any change to the search -- race
+#: detection, sleep sets, backtrack choice -- moves these, so a change
+#: meant to be count-preserving (a speedup) must leave them untouched.
+REGISTRY_PINS = {
+    ("safe-agreement", 3): (3124, 0, 16, 11202),
+    ("adopt-commit", 3): (289, 0, 12, 685),
+    ("x-safe-agreement", 3): (44, 0, 14, 101),
+    ("queue-2cons", 3): (2, 0, 5, 2),
+    ("x-safe-agreement", 4): (3198, 0, 25, 10845),
+}
+
+
+def _serial_dpor(name, n):
+    sc = check_scenarios(n=n)[name]
+    return explore(sc.build, sc.check,
+                   crash_plan_factory=sc.crash_plan_factory,
+                   max_steps=sc.max_steps, max_runs=sc.max_runs,
+                   reduction="dpor")
+
+
+def _counts(stats):
+    return (stats.complete_runs, stats.truncated_runs,
+            stats.max_depth_seen, stats.pruned_runs)
+
+
+class TestRegistryPins:
+    @pytest.mark.parametrize("name,n", sorted(REGISTRY_PINS),
+                             ids=[f"{name}-n{n}"
+                                  for name, n in sorted(REGISTRY_PINS)])
+    def test_sound_scenario_counts(self, name, n):
+        assert _counts(_serial_dpor(name, n)) == REGISTRY_PINS[(name, n)]
+
+    def test_broken_demo_counts_and_shrunk_prefix(self):
+        with pytest.raises(CounterexampleFound) as info:
+            _serial_dpor("broken-demo", 3)
+        assert _counts(info.value.stats) == (3, 0, 6, 2)
+        ce = info.value.counterexample
+        assert ce.prefix == [1, 1, 1]
+        assert type(ce.error) is AssertionError
         assert ce.reproduces()

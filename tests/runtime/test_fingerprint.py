@@ -1,19 +1,16 @@
 """Unit tests for the canonical state fingerprint.
 
-The DPOR state cache (``docs/performance.md``) is only sound if the
-fingerprint never *merges* two states the remainder of a run could tell
-apart.  These tests pin the two directions separately:
+A fingerprint is only sound if it never *merges* two states the
+remainder of a run could tell apart.  These tests pin the two
+directions separately:
 
 * representation noise that a run can NOT observe -- dict/set insertion
   order, lazy materialisation of default (``BOTTOM``) cells -- must not
-  change the fingerprint (a split here would only cost cache misses,
-  but it would also defeat the cache entirely);
+  change the fingerprint;
 * state a run CAN observe -- written values, type distinctions like
   ``True`` vs ``1``, armed-vs-fired fault triggers, message-fault
   occurrence counters -- must always change it.
 """
-
-import pytest
 
 from repro.memory.base import BOTTOM
 from repro.memory.families import RegisterFamily, SnapshotFamily
@@ -21,8 +18,6 @@ from repro.messaging.engine import Envelope
 from repro.messaging.faults import DropFault, MessageFaultPlan
 from repro.runtime import Fingerprinter, ObjectProxy
 from repro.runtime.faults import byzantine_writer
-
-pytestmark = pytest.mark.cache
 
 
 class TestCanon:

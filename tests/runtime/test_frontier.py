@@ -12,16 +12,19 @@ import os
 
 import pytest
 
-from repro.runtime import ExplorationStats, FrontierMismatch, FrontierStore
+from repro.analysis.metrics import ExplorationMetrics, deterministic_view
+from repro.runtime import (ExplorationStats, FrontierMismatch, FrontierStore,
+                           explore_parallel)
 from repro.runtime.explore import ShardViolation
 from repro.runtime.frontier import (COMPACT_INTERVAL,
                                     FRONTIER_SCHEMA_VERSION,
                                     stats_from_dict, stats_to_dict)
 from repro.runtime.lease import Lease, LeaseTable
+from repro.scenarios import check_scenarios
 
 FINGERPRINT = {"scenario": ["demo", 2, 1], "max_steps": 12,
                "max_runs": 1000, "reduction": "dpor",
-               "prefix_factor": 4, "state_cache": True}
+               "prefix_factor": 4}
 
 SHARDS = [((0,), ()), ((1,), (0,)), ((0, 1), (1,))]
 
@@ -128,7 +131,7 @@ class TestStoreLifecycle:
 
     def test_compaction_folds_journal_into_header(self, tmp_path):
         store = begin_store(tmp_path / "frontier.jsonl")
-        store.record_completion(0, make_stats(7), {"cache_hits": 1})
+        store.record_completion(0, make_stats(7), {"sleep_hits": 1})
         store.record_completion(2, make_stats(9), {})
         store.compact()
         store.close()
@@ -197,6 +200,45 @@ class TestValidation:
         store = FrontierStore(str(path))
         with pytest.raises(ValueError, match="no header"):
             store.load()
+
+    def test_legacy_state_cache_key_is_ignored(self, tmp_path):
+        store = FrontierStore(str(tmp_path / "frontier.jsonl"))
+        store.begin(dict(FINGERPRINT, state_cache=False), make_stats(0),
+                    {}, SHARDS)
+        store.validate(dict(FINGERPRINT))
+        store.close()
+
+    def test_legacy_state_cache_store_resumes_to_the_uninterrupted_view(
+            self, tmp_path):
+        # A half-finished store written while the DPOR state cache
+        # existed: its header fingerprint carries "state_cache": true
+        # and its completions carry cache counters.
+        sc = check_scenarios(n=3)["adopt-commit"]
+
+        def run(frontier=None):
+            metrics = ExplorationMetrics(scenario="adopt-commit",
+                                         engine="dpor")
+            explore_parallel(sc.build, sc.check, jobs=1,
+                             max_steps=sc.max_steps, metrics=metrics,
+                             frontier=frontier)
+            return metrics.finalize().to_dict()
+
+        reference = run()
+        path = tmp_path / "frontier.jsonl"
+        run(FrontierStore(str(path)))
+        header = json.loads(path.read_text().splitlines()[0])
+        header["fingerprint"]["state_cache"] = True
+        completed = sorted(header["completed"].items(),
+                           key=lambda item: int(item[0]))
+        kept = dict(completed[:len(completed) // 2])
+        for entry in kept.values():
+            entry["counters"].update(cache_hits=3, cache_skipped_runs=7)
+        header["completed"] = kept
+        path.write_text(json.dumps(header) + "\n")
+
+        resumed = run(FrontierStore(str(path)))
+        assert deterministic_view(resumed) == deterministic_view(reference)
+        assert resumed["cache_hits"] == resumed["cache_skipped_runs"] == 0
 
     def test_future_schema_is_rejected(self, tmp_path):
         path = tmp_path / "future.jsonl"

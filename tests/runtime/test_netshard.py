@@ -342,6 +342,23 @@ class TestMonotonicClockPin:
         assert naps == [backoff_delay("pin", 0), backoff_delay("pin", 1)]
 
 
+class TestWorkerConfig:
+    def test_legacy_state_cache_key_is_ignored(self):
+        """Coordinators that predate the state cache's removal announce
+        ``"state_cache": True``; a worker must run the shard exactly as
+        without the key."""
+        def run(config):
+            worker = ShardWorker("127.0.0.1", 1, name="cfg")
+            worker._config = config
+            return worker._run_grant({"shard": 0, "prefix": [],
+                                      "sleep": []})
+
+        config = {"scenario": "adopt-commit", "n": 2, "max_steps": 30}
+        legacy = run(dict(config, state_cache=True))
+        assert legacy == run(config)
+        assert legacy[0].complete_runs > 0
+
+
 class TestServerLoss:
     def test_worker_backs_off_when_the_server_dies_without_done(self):
         """A server killed -9 never says ``done``: the worker walks its
